@@ -79,8 +79,9 @@ def run_plan(args) -> int:
 
 def run_region(args) -> int:
     sc = _load_scenario(args.scenario, args.override)
-    if sc.dim > 3:
-        raise ScenarioError("region construction supports 2D/3D workspaces only")
+    if sc.dim * sc.robots > 3:
+        raise ScenarioError("region construction supports configurations of at "
+                            "most 3 numbers (one robot in 2D or 3D)")
     truth = sc.ground_truth()
     result = plan(truth, sc.start, sc.target, sc.planner_config())
     code = _status_code(result)

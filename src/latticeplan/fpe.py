@@ -5,11 +5,17 @@ The density evolves by explicit Euler steps under an adaptive CFL bound;
 mass is conserved edge-wise and the free energy is a Lyapunov function.
 The region alternates greedy descent sweeps (diffusion strength zero) with
 Gibbs-layer growth (positive diffusion) until the target node is claimed.
+Both come from the limits of the flow in closed form: a descent sweep is the
+set of nodes reachable over descent edges, and the diffusion limit is the
+Gibbs density on each lattice component.  The solver stays as the oracle the
+tests compare them with.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -101,6 +107,17 @@ class Lattice:
                     stack.append(w)
         return seen
 
+    def component_labels(self) -> np.ndarray:
+        """Per node, the index of its connected component (in order of each
+        component's lowest node)."""
+        labels = np.full(self.size, -1)
+        count = 0
+        for i in range(self.size):
+            if labels[i] < 0:
+                labels[list(self.component_of(i))] = count
+                count += 1
+        return labels
+
 
 @dataclass
 class DensityField:
@@ -134,31 +151,23 @@ def gradient_weights(lat: Lattice, pot: Optional[PotentialField] = None) -> Proj
     """For each node, mark the edge(s) toward the neighbor maximizing the inner
     product of the descent step with the analytic potential gradient, among
     strictly lower-potential neighbors; exact ties all carry weight one."""
-    d = np.zeros(lat.edges.shape[0])
-    edge_index: Dict[Tuple[int, int], int] = {}
-    for e, (j, k) in enumerate(lat.edges):
-        edge_index[(int(j), int(k))] = e
-        edge_index[(int(k), int(j))] = e
-    for j in range(lat.size):
-        lower = [k for k in lat.neighbors[j] if lat.p[k] < lat.p[j]]
-        if not lower:
-            continue
-        if pot is not None:
-            grad = pot.gradient(lat.coords[j])
-        else:
-            grad = None
-        vals = []
-        for k in lower:
-            step = lat.coords[j] - lat.coords[k]
-            if grad is not None:
-                vals.append(float(np.dot(step, grad)))
-            else:
-                vals.append(float(lat.p[j] - lat.p[k]))
-        m = max(vals)
-        for k, v in zip(lower, vals):
-            if v >= m - 1e-12:
-                d[edge_index[(j, int(k))]] = 1.0
-    return ProjectionWeights(d=d)
+    e = lat.edges.shape[0]
+    # Every edge in both orientations, as a step from node a to neighbor b.
+    a = np.concatenate([lat.edges[:, 0], lat.edges[:, 1]])
+    b = np.concatenate([lat.edges[:, 1], lat.edges[:, 0]])
+    lower = lat.p[b] < lat.p[a]
+    if pot is None:
+        vals = lat.p[a] - lat.p[b]
+    else:
+        d = lat.coords - pot.target
+        norm = np.linalg.norm(d, axis=1)[:, None]
+        grad = np.divide(d, norm, out=np.zeros_like(d), where=norm > 0.0)
+        vals = np.sum((lat.coords[a] - lat.coords[b]) * grad[a], axis=1)
+    vals = np.where(lower, vals, -np.inf)
+    best = np.full(lat.size, -np.inf)
+    np.maximum.at(best, a, vals)
+    mark = lower & (vals >= best[a] - 1e-12)
+    return ProjectionWeights(d=(mark[:e] | mark[e:]).astype(float))
 
 
 def _f_vector(f: DensityField, lat: Lattice) -> np.ndarray:
@@ -292,6 +301,35 @@ def evolve_to_steady(f: DensityField, lat: Lattice, w: ProjectionWeights,
                         max_energy_increase=energy_inc)
 
 
+def gibbs_steady(lat: Lattice, beta: float) -> np.ndarray:
+    """Steady state of the diffusion flow from the uniform density, in closed
+    form: exp(-(p - min p)/beta) on each lattice component, normalised there
+    and scaled by the component's share of the nodes.
+
+    Mass never crosses between components, and on each one this density
+    minimises the free energy that the scheme dissipates (Jordan, Kinderlehrer
+    and Otto, SIAM J. Math. Anal. 1998).  The minimum is taken per component,
+    so no component underflows to zero mass.
+    """
+    if beta <= 0.0:
+        raise ValueError("the Gibbs density requires beta > 0")
+    labels = lat.component_labels()
+    count = int(labels.max()) + 1 if lat.size else 0
+    low = np.full(count, np.inf)
+    np.minimum.at(low, labels, lat.p)
+    w = np.exp(-(lat.p - low[labels]) / beta)
+    total = np.bincount(labels, weights=w, minlength=count)
+    share = np.bincount(labels, minlength=count) / lat.size
+    return w / total[labels] * share[labels]
+
+
+@lru_cache(maxsize=None)
+def _cell_offsets(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The 3**n lattice key offsets around a cell corner, each axis in the
+    order 0, 1, -1."""
+    return tuple(itertools.product((0, 1, -1), repeat=n))
+
+
 @dataclass(eq=False)
 class Region:
     """Claimed lattice nodes plus the closed boxes of half-width `half_width`
@@ -306,12 +344,9 @@ class Region:
         x = as_config(x)
         lat = self.lattice
         node_set = self._node_set
-        base = np.floor((x - lat.anchor) / lat.dx).astype(int)
-        n = x.shape[0]
-        offsets = np.stack(np.meshgrid(*[[0, 1, -1]] * n, indexing="ij"),
-                           axis=-1).reshape(-1, n)
-        for off in offsets:
-            idx = lat.key_map.get(tuple(int(v) for v in base + off))
+        base = np.floor((x - lat.anchor) / lat.dx).astype(int).tolist()
+        for off in _cell_offsets(len(base)):
+            idx = lat.key_map.get(tuple(b + o for b, o in zip(base, off)))
             if idx is None or idx not in node_set:
                 continue
             if float(np.max(np.abs(lat.coords[idx] - x))) <= self.half_width + tol:
@@ -331,43 +366,46 @@ def contains_path(region: Region, trajectory: Sequence) -> bool:
 
 
 def gradient_region(start_node: int, lat: Lattice,
-                    pot: Optional[PotentialField] = None,
-                    tol: float = 1e-12) -> Set[int]:
-    """Descent sweep: evolve a unit mass from the start node with projected
-    weights and collect every node whose density ever strictly increases."""
+                    pot: Optional[PotentialField] = None) -> Set[int]:
+    """Descent sweep: the nodes reachable from the start node over the edges
+    that `gradient_weights` marks, each followed from higher to lower
+    potential.  These are exactly the nodes whose density ever increases
+    when a unit mass at the start evolves at beta = 0 under those weights."""
     w = gradient_weights(lat, pot)
-    f = DensityField.delta(lat, start_node, beta=0.0)
-    touched: Set[int] = {start_node}
-    evolve_to_steady(f, lat, w, tol=tol, touched_threshold=1e-14,
-                     touched=touched)
-    return touched
+    ej, ek = lat.edges[w.d > 0.0].T
+    downhill = lat.p[ej] > lat.p[ek]
+    src = np.where(downhill, ej, ek).tolist()
+    dst = np.where(downhill, ek, ej).tolist()
+    below: Dict[int, List[int]] = {}
+    for j, k in zip(src, dst):
+        below.setdefault(j, []).append(k)
+    reached = {start_node}
+    stack = [start_node]
+    while stack:
+        for k in below.get(stack.pop(), ()):
+            if k not in reached:
+                reached.add(k)
+                stack.append(k)
+    return reached
 
 
 def diffusion_region(prev: Set[int], lat: Lattice, beta: float,
-                     eps: float = 1e-6,
                      steady: Optional[np.ndarray] = None
                      ) -> Tuple[Set[int], Optional[int]]:
     """Gibbs-layer growth around the previously claimed region.
 
     Returns the newly claimed nodes and the next descent start (the lowest
     potential unclaimed neighbor of the grown region), or None when the
-    region already exhausts its lattice component.
+    region already exhausts its lattice component.  Candidates are claimed
+    by decreasing `steady` density (by default the Gibbs density at beta);
+    of candidates with equal density, the lower index is claimed first.
     """
     if beta <= 0.0:
         raise ValueError("diffusion requires beta > 0")
     if not prev:
         raise ValueError("previous region must be nonempty")
     if steady is None:
-        rest = lat.size - len(prev)
-        if rest > 0 and not (1.0 - eps) / len(prev) > eps / rest:
-            raise ValueError("diffusion floor eps too large for this lattice")
-        rho = np.full(lat.size, (eps / rest) if rest else 0.0)
-        for i in prev:
-            rho[i] = (1.0 - eps) / len(prev)
-        rho /= rho.sum()
-        res = evolve_to_steady(DensityField(rho=rho, beta=beta), lat,
-                               diffusion_weights(lat), tol=1e-10)
-        steady = res.field.rho
+        steady = gibbs_steady(lat, beta)
 
     claimed = set(prev)
 
@@ -413,11 +451,9 @@ def build_region(start, target, lat: Lattice, beta: Optional[float] = None
         beta = float(lat.p.max() - lat.p.min()) / 10.0 or 1.0
     pot = PotentialField(target=as_config(target))
 
-    # The Gibbs steady state is independent of the reinitialized density, so
-    # one honest evolution serves every diffusion round.
-    rho0 = np.full(lat.size, 1.0 / lat.size)
-    steady = evolve_to_steady(DensityField(rho=rho0, beta=beta), lat,
-                              diffusion_weights(lat), tol=1e-10).field.rho
+    # Within a component the Gibbs density does not depend on the initial
+    # density, so one closed form serves every diffusion round.
+    steady = gibbs_steady(lat, beta)
 
     region: Set[int] = set()
     x_i = start_node

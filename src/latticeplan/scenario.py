@@ -64,9 +64,12 @@ def _floats(parts: List[str], want: int, key: str, line: int) -> np.ndarray:
     if len(parts) != want:
         raise ScenarioError(f"{key} expects {want} numbers, got {len(parts)}", line)
     try:
-        return np.array([float(p) for p in parts])
+        vals = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ScenarioError(f"{key}: {exc}", line)
+    if not np.all(np.isfinite(vals)):
+        raise ScenarioError(f"{key}: numbers must be finite", line)
+    return vals
 
 
 def parse_scenario(text: str) -> Scenario:

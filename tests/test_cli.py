@@ -29,6 +29,28 @@ sensing_radius 0.1
 step 0.04
 """
 
+SLAB_3D_SCENARIO = """\
+dim 3
+workspace 0 0 0 1 1 1
+start 0.1 0.35 0.35
+target 0.85 0.35 0.35
+obstacle box 0.45 0 0 0.48 0.55 1 known
+sensing_radius 0.12
+step 0.125
+"""
+
+TWO_ROBOT_SCENARIO = """\
+dim 2
+robots 2
+workspace 0 0 1 1
+start 0.1 0.44 0.1 0.5
+target 0.9 0.44 0.9 0.5
+sensing_radius 0.1
+step 0.04
+dmin 0.03
+dmax 0.13
+"""
+
 
 @pytest.fixture
 def scn(tmp_path):
@@ -96,6 +118,47 @@ def test_region_shift_breaks_containment(scn, tmp_path):
     shifted = tmp_path / "shifted.scn"
     shifted.write_text(OPEN_SCENARIO + "region_shift 0.3 0.3\n")
     assert main(["region", "--scenario", str(shifted)]) == 2
+
+
+def test_region_3d_slab_containment(tmp_path, capsys):
+    # The slab blocks the straight descent; the region must grow around it.
+    p = tmp_path / "slab.scn"
+    p.write_text(SLAB_3D_SCENARIO)
+    out = tmp_path / "r3"
+    assert main(["region", "--scenario", str(p), "--out", str(out)]) == 0
+    assert "containment: yes" in capsys.readouterr().out
+    rows = (out / "region.txt").read_text().splitlines()
+    assert all(len(r.split()) == 5 for r in rows)  # x y z in_region steady_rho
+
+
+def test_region_rejects_two_robots_in_2d(tmp_path, capsys):
+    p = tmp_path / "pair.scn"
+    p.write_text(TWO_ROBOT_SCENARIO)
+    assert main(["validate", "--scenario", str(p)]) == 0
+    assert main(["region", "--scenario", str(p)]) == 4
+    assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_in_file_is_scenario_error(tmp_path, capsys, value):
+    p = tmp_path / "bad.scn"
+    p.write_text(OPEN_SCENARIO + f"step {value}\n")
+    assert main(["plan", "--scenario", str(p)]) == 4
+    assert "line 8: step: numbers must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_override_is_scenario_error(scn, capsys, value):
+    assert main(["plan", "--scenario", str(scn),
+                 "--override", f"step={value}"]) == 4
+    assert "step: numbers must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_coordinate_is_scenario_error(tmp_path, capsys):
+    p = tmp_path / "bad.scn"
+    p.write_text(OPEN_SCENARIO.replace("target 0.9 0.35", "target 0.9 nan"))
+    assert main(["validate", "--scenario", str(p)]) == 4
+    assert "line 4: target: numbers must be finite" in capsys.readouterr().err
 
 
 def test_batch_aggregates(scn, tmp_path):

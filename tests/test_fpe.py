@@ -1,4 +1,8 @@
-"""Density-flow solver: CFL bound, conservation, Gibbs limits, regions."""
+"""Density-flow solver: CFL bound, conservation, Gibbs limits, regions.
+
+The region is built from closed forms of the flow's limits; the explicit
+solver is the oracle they are compared with here.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import latticeplan as lp
 from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
+
+from conftest import containment_scenes
 
 
 def _chain(p, dx=0.1):
@@ -185,3 +191,141 @@ def test_region_dump_format():
     first = lines[0].split()
     assert len(first) == 4  # x y in_region steady_rho
     assert first[2] in ("0", "1")
+
+
+# -- closed forms against the solver ---------------------------------------
+
+def _solver_sweep(start_node, lat, pot):
+    """The descent sweep as the solver computes it: evolve a unit mass from
+    the start node at beta = 0 under the descent weights and collect every
+    node whose density ever strictly increases."""
+    touched = {start_node}
+    fpe.evolve_to_steady(fpe.DensityField.delta(lat, start_node), lat,
+                         fpe.gradient_weights(lat, pot), tol=1e-12,
+                         touched_threshold=1e-14, touched=touched)
+    return touched
+
+
+def _loop_gradient_weights(lat, pot=None):
+    """Node-by-node descent weights: the slow path gradient_weights replaces."""
+    d = np.zeros(lat.edges.shape[0])
+    edge_index = {}
+    for e, (j, k) in enumerate(lat.edges.tolist()):
+        edge_index[(j, k)] = edge_index[(k, j)] = e
+    for j in range(lat.size):
+        lower = [k for k in lat.neighbors[j] if lat.p[k] < lat.p[j]]
+        if not lower:
+            continue
+        grad = None if pot is None else pot.gradient(lat.coords[j])
+        vals = [float(lat.p[j] - lat.p[k]) if grad is None
+                else float(np.dot(lat.coords[j] - lat.coords[k], grad))
+                for k in lower]
+        m = max(vals)
+        for k, v in zip(lower, vals):
+            if v >= m - 1e-12:
+                d[edge_index[(j, k)]] = 1.0
+    return d
+
+
+def _random_world(seed, boxes=4):
+    rng = np.random.default_rng(4000 + seed)
+    prims = []
+    for _ in range(boxes):
+        c = rng.uniform(0.15, 0.85, 2)
+        h = rng.uniform(0.03, 0.12, 2)
+        prims.append(lp.ObstaclePrimitive.box(np.clip(c - h, 0, 1),
+                                              np.clip(c + h, 0, 1), known=True))
+    target = rng.uniform(0.1, 0.9, 2)
+    lat = fpe.Lattice.build(_env(prims), rng.uniform(0.0, 0.1, 2), 0.1, target)
+    return rng, lat, lp.PotentialField(target=target)
+
+
+def test_gradient_region_equals_solver_on_containment_scenes():
+    for name, prims, start, target in containment_scenes():
+        lat = fpe.Lattice.build(_env(prims), start, 0.05, target)
+        pot = lp.PotentialField(target=np.asarray(target, dtype=float))
+        s = lat.node_at(start)
+        assert fpe.gradient_region(s, lat, pot) == _solver_sweep(s, lat, pot), name
+
+
+def test_gradient_region_equals_solver_on_random_worlds():
+    for seed in range(12):
+        rng, lat, pot = _random_world(seed)
+        for s in rng.choice(lat.size, 3, replace=False).tolist():
+            assert fpe.gradient_region(s, lat, pot) == \
+                _solver_sweep(s, lat, pot), f"seed {seed}, start {s}"
+
+
+def test_gradient_weights_equal_node_loop():
+    lats = []
+    for name, prims, start, target in containment_scenes():
+        lats.append((fpe.Lattice.build(_env(prims), start, 0.05, target),
+                     lp.PotentialField(target=np.asarray(target, dtype=float))))
+    for seed in range(12):
+        _, lat, pot = _random_world(seed)
+        lats.append((lat, pot))
+    lat, _, target, _ = _mirror_scene()
+    lats.append((lat, lp.PotentialField(target=np.asarray(target))))
+    truth = lp.GroundTruth.create(3, [0, 0, 0], [1, 1, 1], [
+        lp.ObstaclePrimitive.box([0.45, 0, 0], [0.48, 0.55, 1], known=True)])
+    env3 = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
+    target3 = np.array([0.85, 0.35, 0.35])
+    lats.append((fpe.Lattice.build(env3, [0.1, 0.35, 0.35], 0.125, target3),
+                 lp.PotentialField(target=target3)))
+    for lat, pot in lats:
+        assert np.array_equal(fpe.gradient_weights(lat, pot).d,
+                              _loop_gradient_weights(lat, pot))
+        assert np.array_equal(fpe.gradient_weights(lat).d,
+                              _loop_gradient_weights(lat))
+
+
+def test_gibbs_steady_equals_solver_on_random_worlds():
+    for seed in range(3):
+        _, lat, _ = _random_world(seed)
+        beta = float(lat.p.max() - lat.p.min()) / 10.0
+        res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, beta), lat,
+                                   fpe.diffusion_weights(lat), tol=1e-11)
+        assert res.converged
+        assert np.max(np.abs(fpe.gibbs_steady(lat, beta) - res.field.rho)) <= 1e-9
+
+
+def test_gibbs_steady_weights_components_by_size():
+    # A wall splits the lattice into 3 and 7 columns: each side keeps its
+    # share of the uniform mass, spread as a Gibbs density within the side.
+    env = _env([lp.ObstaclePrimitive.box([0.27, 0.0], [0.33, 1.0], known=True)])
+    lat = fpe.Lattice.build(env, [0.05, 0.05], 0.1, [0.75, 0.45])
+    labels = lat.component_labels()
+    assert sorted(np.bincount(labels)) == [30, 70]
+    beta = 0.08
+    rho = fpe.gibbs_steady(lat, beta)
+    res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, beta), lat,
+                               fpe.diffusion_weights(lat), tol=1e-11)
+    assert res.converged
+    assert np.max(np.abs(rho - res.field.rho)) <= 1e-9
+    for c in (0, 1):
+        side = labels == c
+        assert rho[side].sum() == pytest.approx(side.sum() / lat.size, abs=1e-12)
+
+
+def _mirror_scene():
+    # Every coordinate is a multiple of 1/16, so the potential is exactly
+    # symmetric about y = 1/2 and mirrored nodes tie in the Gibbs density.
+    wall = lp.ObstaclePrimitive.box([0.47, 0.3], [0.53, 0.7], known=True)
+    start, target = [0.125, 0.5], [0.875, 0.5]
+    lat = fpe.Lattice.build(_env([wall]), start, 0.0625, target)
+    mirror = {i: lat.node_at([x, 1.0 - y]) for i, (x, y) in enumerate(lat.coords)}
+    return lat, start, target, mirror
+
+
+def test_mirror_scene_ties_go_to_the_lower_index():
+    lat, start, target, mirror = _mirror_scene()
+    rho = fpe.gibbs_steady(lat, 0.1)
+    assert all(rho[i] == rho[j] for i, j in mirror.items())
+    first = fpe.build_region(start, target, lat)
+    again = fpe.build_region(start, target, lat)
+    assert first.nodes == again.nodes
+    claimed = set(first.nodes)
+    lone = [i for i in claimed if mirror[i] not in claimed]
+    assert lone, "the wall must break the symmetry of the region"
+    # Below the axis every node has a lower index than its mirror image.
+    assert all(lat.coords[i][1] < 0.5 and i < mirror[i] for i in lone)
