@@ -314,7 +314,7 @@ def gibbs_steady(lat: Lattice, beta: float) -> np.ndarray:
     if beta <= 0.0:
         raise ValueError("the Gibbs density requires beta > 0")
     labels = lat.component_labels()
-    count = int(labels.max()) + 1 if lat.size else 0
+    count = int(labels.max()) + 1
     low = np.full(count, np.inf)
     np.minimum.at(low, labels, lat.p)
     w = np.exp(-(lat.p - low[labels]) / beta)
@@ -374,19 +374,15 @@ def gradient_region(start_node: int, lat: Lattice,
     w = gradient_weights(lat, pot)
     ej, ek = lat.edges[w.d > 0.0].T
     downhill = lat.p[ej] > lat.p[ek]
-    src = np.where(downhill, ej, ek).tolist()
-    dst = np.where(downhill, ek, ej).tolist()
-    below: Dict[int, List[int]] = {}
-    for j, k in zip(src, dst):
-        below.setdefault(j, []).append(k)
-    reached = {start_node}
-    stack = [start_node]
-    while stack:
-        for k in below.get(stack.pop(), ()):
-            if k not in reached:
-                reached.add(k)
-                stack.append(k)
-    return reached
+    src = np.where(downhill, ej, ek)
+    dst = np.where(downhill, ek, ej)
+    reached = np.zeros(lat.size, dtype=bool)
+    reached[start_node] = True
+    while True:
+        step = reached[src] & ~reached[dst]
+        if not step.any():
+            return set(np.flatnonzero(reached).tolist())
+        reached[dst[step]] = True
 
 
 def diffusion_region(prev: Set[int], lat: Lattice, beta: float,

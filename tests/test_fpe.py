@@ -308,8 +308,9 @@ def test_gibbs_steady_weights_components_by_size():
 
 
 def _mirror_scene():
-    # Every coordinate is a multiple of 1/16, so the potential is exactly
-    # symmetric about y = 1/2 and mirrored nodes tie in the Gibbs density.
+    # Every lattice coordinate is a multiple of 1/16, so the potential is
+    # exactly symmetric about y = 1/2 and mirrored nodes tie in the Gibbs
+    # density.
     wall = lp.ObstaclePrimitive.box([0.47, 0.3], [0.53, 0.7], known=True)
     start, target = [0.125, 0.5], [0.875, 0.5]
     lat = fpe.Lattice.build(_env([wall]), start, 0.0625, target)
@@ -327,5 +328,6 @@ def test_mirror_scene_ties_go_to_the_lower_index():
     claimed = set(first.nodes)
     lone = [i for i in claimed if mirror[i] not in claimed]
     assert lone, "the wall must break the symmetry of the region"
-    # Below the axis every node has a lower index than its mirror image.
+    # Each tie went to the lower index: the nodes claimed without their
+    # mirror image all lie below the axis, where indices are lower.
     assert all(lat.coords[i][1] < 0.5 and i < mirror[i] for i in lone)
