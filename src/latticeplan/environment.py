@@ -1,18 +1,22 @@
 """Ground-truth world and the dynamically revealed view of it.
 
-The planner only ever sees a KnownEnvironment snapshot.  Whole primitives
-become revealed once any robot position comes within the sensing radius of
-them; initially-known primitives are revealed from the start.
+Every obstacle is an open axis-aligned box.  The ground truth holds all of
+them once, as (P, dim) corner arrays `lo` and `hi`; the planner only ever
+sees a KnownEnvironment snapshot, which caches the rows of the boxes
+revealed so far in the same form.  A box becomes revealed, whole, once any
+robot position comes within the sensing radius of it; initially-known boxes
+are revealed from the start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ObstaclePrimitive, as_config
+from .geometry import ObstaclePrimitive, as_config, box_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,6 +27,8 @@ class GroundTruth:
     bounds_lo: np.ndarray
     bounds_hi: np.ndarray
     primitives: Tuple[ObstaclePrimitive, ...]
+    lo: np.ndarray  # (P, dim) lower corners of the boxes, in primitive order
+    hi: np.ndarray  # (P, dim) upper corners
     dmin: float | None = None
     dmax: float | None = None
 
@@ -33,14 +39,23 @@ class GroundTruth:
         hi = np.asarray(bounds_hi, dtype=float)
         if lo.shape != (dim,) or hi.shape != (dim,) or np.any(lo >= hi):
             raise ValueError("workspace bounds must be a non-degenerate box of the given dim")
-        return GroundTruth(dim=dim, bounds_lo=lo, bounds_hi=hi,
-                           primitives=tuple(primitives), dmin=dmin, dmax=dmax)
+        primitives = tuple(primitives)
+        for i, p in enumerate(primitives):
+            if np.shape(p.lo) != (dim,) or np.shape(p.hi) != (dim,):
+                raise ValueError(f"obstacle {i} has corners of shape {np.shape(p.lo)}, "
+                                 f"not ({dim},)")
+        shape = (len(primitives), dim)
+        return GroundTruth(dim=dim, bounds_lo=lo, bounds_hi=hi, primitives=primitives,
+                           lo=np.array([p.lo for p in primitives], dtype=float).reshape(shape),
+                           hi=np.array([p.hi for p in primitives], dtype=float).reshape(shape),
+                           dmin=dmin, dmax=dmax)
 
-    def robot_positions(self, x: np.ndarray):
+    def robot_positions(self, x) -> np.ndarray:
+        """The (k, dim) robot positions stacked in configuration x."""
         x = as_config(x)
         if x.shape[0] % self.dim != 0:
             raise ValueError(f"configuration length {x.shape[0]} not divisible by workspace dim {self.dim}")
-        return list(x.reshape(-1, self.dim))
+        return x.reshape(-1, self.dim)
 
     def known_ids(self) -> FrozenSet[int]:
         return frozenset(i for i, p in enumerate(self.primitives) if p.known)
@@ -71,11 +86,18 @@ class KnownEnvironment:
     def dim(self) -> int:
         return self.truth.dim
 
-    def robot_positions(self, x: np.ndarray):
-        return self.truth.robot_positions(x)
+    @cached_property
+    def lo(self) -> np.ndarray:
+        """(P, dim) lower corners of the revealed boxes, in primitive order."""
+        return self.truth.lo[sorted(self.revealed)]
 
-    def revealed_primitives(self) -> Tuple[ObstaclePrimitive, ...]:
-        return tuple(self.truth.primitives[i] for i in sorted(self.revealed))
+    @cached_property
+    def hi(self) -> np.ndarray:
+        """(P, dim) upper corners of the revealed boxes, in primitive order."""
+        return self.truth.hi[sorted(self.revealed)]
+
+    def robot_positions(self, x) -> np.ndarray:
+        return self.truth.robot_positions(x)
 
     def fully_revealed(self) -> "KnownEnvironment":
         return KnownEnvironment(truth=self.truth,
@@ -84,26 +106,20 @@ class KnownEnvironment:
 
 
 def sense(known: KnownEnvironment, x) -> KnownEnvironment:
-    """Reveal every primitive within the sensing radius of any robot position."""
-    positions = known.robot_positions(as_config(x))
-    new = set(known.revealed)
-    for i, prim in enumerate(known.truth.primitives):
-        if i in new:
-            continue
-        for pos in positions:
-            if prim.distance_to(pos) <= known.sensing_radius:
-                new.add(i)
-                break
+    """Reveal every box within the sensing radius of any robot position."""
+    truth = known.truth
+    positions = known.robot_positions(x)
+    if len(known.revealed) == len(truth.primitives):
+        return known
+    near = box_distances(positions, truth.lo, truth.hi) <= known.sensing_radius
+    new = known.revealed | frozenset(np.flatnonzero(near.any(axis=0)).tolist())
     if len(new) == len(known.revealed):
         return known
-    return KnownEnvironment(truth=known.truth, revealed=frozenset(new),
-                            sensing_radius=known.sensing_radius)
+    return KnownEnvironment(truth=truth, revealed=new, sensing_radius=known.sensing_radius)
 
 
 def distance_to_revealed(x, known: KnownEnvironment) -> float:
-    """Minimum workspace distance from any robot position to any revealed primitive."""
-    positions = known.robot_positions(as_config(x))
-    prims = known.revealed_primitives()
-    if not prims:
-        return float("inf")
-    return min(prim.distance_to(pos) for pos in positions for prim in prims)
+    """Minimum workspace distance from any robot position to any revealed box
+    (infinite when none is revealed)."""
+    d = box_distances(known.robot_positions(x), known.lo, known.hi)
+    return float(d.min(initial=np.inf))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import CflViolationError, RegionError
-from .geometry import PotentialField, as_config, point_feasible, segment_feasible
+from .geometry import PotentialField, as_config, segments_hit_boxes
 
 _RHO_FLOOR = 1e-300  # guards log() only; masses themselves are never clipped
 
@@ -53,33 +53,39 @@ class Lattice:
         kmin = np.ceil((lo - anchor) / dx - 1e-9).astype(int)
         kmax = np.floor((hi - anchor) / dx + 1e-9).astype(int)
         pot = PotentialField(target=target)
-        coords = []
-        key_map: Dict[Tuple[int, ...], int] = {}
         ranges = [range(kmin[i], kmax[i] + 1) for i in range(n)]
+        shape = tuple(len(r) for r in ranges)
         grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
-        for key_arr in grid:
-            x = anchor + dx * key_arr
-            if point_feasible(x, env):
-                key_map[tuple(int(v) for v in key_arr)] = len(coords)
-                coords.append(x)
-        coords_arr = np.asarray(coords)
-        neighbors: List[List[int]] = [[] for _ in range(len(coords))]
-        edges = []
-        for key, j in key_map.items():
-            for axis in range(n):
-                up = list(key)
-                up[axis] += 1
-                k = key_map.get(tuple(up))
-                if k is None:
-                    continue
-                if not segment_feasible(coords_arr[j], coords_arr[k], env,
-                                        implicit_step=dx / 10.0):
-                    continue
-                edges.append((j, k))
-                neighbors[j].append(k)
-                neighbors[k].append(j)
+        dim, k = env.dim, n // env.dim
+        # A grid point is a zero-length segment, which crosses an open box
+        # iff the point lies inside it.
+        pos = (anchor + dx * grid).reshape(-1, dim)
+        bad = (segments_hit_boxes(pos, pos, env.lo, env.hi)
+               | np.any((pos < env.bounds_lo) | (pos > env.bounds_hi), axis=1))
+        ok = ~bad.reshape(-1, k).any(axis=1)
+        coords_arr = pos.reshape(-1, n)[ok]
+        key_map: Dict[Tuple[int, ...], int] = {
+            key: i for i, key in enumerate(map(tuple, grid[ok].tolist()))}
+        # Per grid point and axis, the node one step up that axis (-1: none);
+        # the nonzero entries of its node rows come out in (node, axis) order.
+        node = np.full(shape, -1)
+        node.flat[np.flatnonzero(ok)] = np.arange(coords_arr.shape[0])
+        up = np.full(shape + (n,), -1)
+        for axis in range(n):
+            lead = (slice(None),) * axis
+            up[lead + (slice(None, -1), Ellipsis, axis)] = node[lead + (slice(1, None),)]
+        up = up.reshape(-1, n)[ok]
+        j, axes = np.nonzero(up >= 0)
+        nbr = up[j, axes]
+        hit = segments_hit_boxes(coords_arr[j].reshape(-1, dim),
+                                 coords_arr[nbr].reshape(-1, dim), env.lo, env.hi)
+        free = ~hit.reshape(j.shape[0], k).any(axis=1)
+        edges_arr = np.stack([j[free], nbr[free]], axis=1)
+        neighbors: List[List[int]] = [[] for _ in range(coords_arr.shape[0])]
+        for a, b in edges_arr.tolist():
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         p = np.array([pot.value(x) for x in coords_arr])
-        edges_arr = np.asarray(edges, dtype=int) if edges else np.zeros((0, 2), dtype=int)
         return Lattice(coords=coords_arr, dx=dx, anchor=anchor, p=p,
                        edges=edges_arr, neighbors=[sorted(ns) for ns in neighbors],
                        key_map=key_map)

@@ -1,15 +1,21 @@
-"""Configuration-space geometry: distances, potentials and feasibility tests.
+"""Configuration-space geometry: distances, the potential and feasibility tests.
 
 A configuration is a flat float array of length n.  For k robots in a
 d-dimensional workspace n = k * d and the coordinates are the stacked
-per-robot positions.  Obstacles live in the workspace and are open sets:
-interiors are infeasible, boundaries are feasible.
+per-robot positions.  Every obstacle is an open axis-aligned box in the
+workspace: its interior is infeasible, its boundary feasible.  An
+environment snapshot holds its revealed boxes as (P, d) corner arrays `lo`
+and `hi`, and each test below reads them in one call: `box_distances` for
+distances, one point-in-box expression for positions, and the slab test
+`segments_hit_boxes` for many segments at once.  A single segment goes
+through the scalar `segment_hits_box`, which is also the oracle the batched
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,21 +54,15 @@ class PotentialField:
         return d / n
 
 
-def potential(field: PotentialField, x) -> float:
-    return field.value(x)
-
-
 @dataclass(frozen=True, eq=False)
 class ObstaclePrimitive:
-    """One obstacle: an open axis-aligned box, or an implicit constraint fn < 0.
+    """One obstacle: the open axis-aligned box (lo, hi).
 
-    `known` marks constraints available before any sensing.
+    `known` marks boxes available before any sensing.
     """
 
-    kind: str  # "box" | "implicit"
-    lo: Optional[np.ndarray] = None
-    hi: Optional[np.ndarray] = None
-    fn: Optional[Callable[[np.ndarray], float]] = None
+    lo: np.ndarray
+    hi: np.ndarray
     known: bool = False
 
     @staticmethod
@@ -71,28 +71,19 @@ class ObstaclePrimitive:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError(f"invalid box corners {lo} .. {hi}")
-        return ObstaclePrimitive(kind="box", lo=lo, hi=hi, known=known)
+        return ObstaclePrimitive(lo=lo, hi=hi, known=known)
 
-    @staticmethod
-    def implicit(fn: Callable[[np.ndarray], float], known: bool = False) -> "ObstaclePrimitive":
-        return ObstaclePrimitive(kind="implicit", fn=fn, known=known)
 
-    def contains(self, p: np.ndarray) -> bool:
-        """True iff p is strictly inside (obstacles are open sets)."""
-        if self.kind == "box":
-            return bool(np.all(self.lo < p) and np.all(p < self.hi))
-        return self.fn(p) < 0.0
+def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distances from points (..., d) to the boxes lo/hi (P, d), shaped (..., P); 0 inside.
 
-    def distance_to(self, p: np.ndarray) -> float:
-        """Distance from a workspace point to the obstacle; 0 inside.
-
-        For implicit obstacles the constraint value is used as a signed
-        distance proxy.
-        """
-        if self.kind == "box":
-            d = np.maximum(np.maximum(self.lo - p, p - self.hi), 0.0)
-            return float(np.linalg.norm(d))
-        return max(float(self.fn(p)), 0.0)
+    `vecdot` sums the squared gaps as the one-vector `np.linalg.norm` does, so
+    every distance is bit-identical to the one-box computation; the batched
+    `np.linalg.norm(axis=-1)` is not.
+    """
+    p = points[..., None, :]
+    gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    return np.sqrt(np.vecdot(gap, gap))
 
 
 def segment_hits_box(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -145,58 +136,34 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
 
 
 def point_feasible(x, env) -> bool:
-    """True iff no robot position is out of bounds or inside a revealed obstacle."""
-    x = as_config(x)
-    for pos in env.robot_positions(x):
-        if np.any(pos < env.bounds_lo) or np.any(pos > env.bounds_hi):
-            return False
-        for prim in env.revealed_primitives():
-            if prim.contains(pos):
+    """True iff every robot position is in bounds and outside every revealed box."""
+    pos = env.robot_positions(x)
+    if (pos < env.bounds_lo).any() or (pos > env.bounds_hi).any():
+        return False
+    p = pos[:, None, :]
+    return not ((env.lo < p) & (p < env.hi)).all(axis=-1).any()
+
+
+def segment_feasible(a, b, env) -> bool:
+    """True iff no robot's straight segment from a to b crosses a revealed box."""
+    for ra, rb in zip(env.robot_positions(a), env.robot_positions(b)):
+        for lo, hi in zip(env.lo, env.hi):
+            if segment_hits_box(ra, rb, lo, hi):
                 return False
-    return True
-
-
-def segment_feasible(a, b, env, implicit_step: float = 1e-3) -> bool:
-    """True iff the straight configuration segment [a, b] avoids revealed obstacles.
-
-    Box obstacles get an exact slab test per robot; implicit obstacles are
-    sampled along the segment at `implicit_step` (configuration-space pitch).
-    """
-    a = as_config(a)
-    b = as_config(b)
-    pa = env.robot_positions(a)
-    pb = env.robot_positions(b)
-    boxes = [p for p in env.revealed_primitives() if p.kind == "box"]
-    implicit = [p for p in env.revealed_primitives() if p.kind == "implicit"]
-    for ra, rb in zip(pa, pb):
-        for prim in boxes:
-            if segment_hits_box(ra, rb, prim.lo, prim.hi):
-                return False
-    if implicit:
-        length = distance(a, b)
-        steps = max(int(np.ceil(length / implicit_step)), 1)
-        for s in range(steps + 1):
-            t = s / steps
-            x = a + t * (b - a)
-            for pos in env.robot_positions(x):
-                for prim in implicit:
-                    if prim.contains(pos):
-                        return False
     return True
 
 
 def multi_robot_feasible(x, env, dmin: float, dmax: float) -> bool:
     """Pairwise distance band plus unblocked robot-to-robot links at x."""
-    positions = env.robot_positions(as_config(x))
+    positions = env.robot_positions(x)
     k = len(positions)
-    boxes = [p for p in env.revealed_primitives() if p.kind == "box"]
     for i in range(k):
         for j in range(i + 1, k):
             d = float(np.linalg.norm(positions[i] - positions[j]))
             if d < dmin or d > dmax:
                 return False
-            for prim in boxes:
-                if segment_hits_box(positions[i], positions[j], prim.lo, prim.hi):
+            for lo, hi in zip(env.lo, env.hi):
+                if segment_hits_box(positions[i], positions[j], lo, hi):
                     return False
     return True
 
@@ -229,12 +196,10 @@ def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[
     Combines per-robot segment tests with the pairwise distance band held
     along the whole motion and robot-to-robot links sampled at `link_step`.
     """
-    if not segment_feasible(a, b, env, implicit_step=link_step):
+    if not segment_feasible(a, b, env):
         return False
     if dmin is None or dmax is None:
         return True
-    a = as_config(a)
-    b = as_config(b)
     pa = env.robot_positions(a)
     pb = env.robot_positions(b)
     k = len(pa)
@@ -245,17 +210,10 @@ def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[
             if not _pair_distance_band_over_motion(pa[i], pb[i], pa[j], pb[j], dmin, dmax):
                 return False
     # Link blocking along the motion, sampled at the configuration pitch.
-    boxes = [p for p in env.revealed_primitives() if p.kind == "box"]
-    if not boxes:
-        return True
-    length = distance(a, b)
-    steps = max(int(np.ceil(length / link_step)), 1)
-    for s in range(steps + 1):
-        t = s / steps
-        pos = [pa[i] + t * (pb[i] - pa[i]) for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                for prim in boxes:
-                    if segment_hits_box(pos[i], pos[j], prim.lo, prim.hi):
-                        return False
-    return True
+    steps = max(int(np.ceil(distance(a, b) / link_step)), 1)
+    t = np.arange(steps + 1)[:, None, None] / steps
+    pos = pa + t * (pb - pa)  # (steps + 1, k, d)
+    i, j = np.triu_indices(k, 1)
+    dim = env.dim
+    return not np.any(segments_hit_boxes(pos[:, i].reshape(-1, dim), pos[:, j].reshape(-1, dim),
+                                         env.lo, env.hi))

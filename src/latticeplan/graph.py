@@ -8,7 +8,7 @@ candidate can be added, which certifies that no path exists at this pitch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -181,7 +181,7 @@ def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenCon
     return formation_segment_feasible(g.coords[vid], g.target, env, dmin, dmax, cfg.link_step)
 
 
-def _link_target(g: SearchGraph, vid: int, pot: PotentialField):
+def _link_target(g: SearchGraph, vid: int):
     g.target_id = g.insert(g.target.copy(), 0.0, vid, None)
 
 
@@ -203,7 +203,7 @@ def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
         new_ids.append(g.insert(q, pot.value(q), vid, lattice_key(q, g)))
     for qid in new_ids:
         if target_linkable(g, qid, env, cfg):
-            _link_target(g, qid, pot)
+            _link_target(g, qid)
             break
     return new_ids
 
@@ -239,7 +239,7 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         g.target_id = root
         return g
     if target_linkable(g, root, env, cfg):
-        _link_target(g, root, pot)
+        _link_target(g, root)
         return g
 
     from . import trap_escape  # deferred: trap_escape builds on this module

@@ -11,8 +11,8 @@ import numpy as np
 
 from .environment import GroundTruth, KnownEnvironment, distance_to_revealed, sense
 from .errors import ModelViolationError, ResourceLimitError
-from .geometry import (PotentialField, as_config, distance, point_feasible,
-                       segments_hit_boxes)
+from .geometry import (as_config, box_distances, distance, point_feasible,
+                       segment_hits_box, segments_hit_boxes)
 from .graph import GenConfig, SearchGraph, generate_graph
 from .pathfind import GraphPath, backtrace
 from .trap_escape import TrapEscapePolicy
@@ -88,71 +88,42 @@ def _first_blocking_index(samples: List[np.ndarray], start: int,
                           known: KnownEnvironment) -> Optional[int]:
     """Smallest j >= start such that the motion past sample j is infeasible.
 
-    Checks every remaining inter-sample segment per robot against revealed
-    boxes (exact slab test), plus link blocking and implicit obstacles at
-    the sample points for multi-robot configurations.
+    One slab test covers every remaining inter-sample segment of every robot
+    and, for several robots, every robot-to-robot link at the sample after
+    each segment.
     """
     remaining = np.asarray(samples[start:])
     if remaining.shape[0] < 2:
         return None
     dim = known.dim
-    k = remaining.shape[1] // dim
-    boxes = [p for p in known.revealed_primitives() if p.kind == "box"]
-    implicit = [p for p in known.revealed_primitives() if p.kind == "implicit"]
-    lo = np.asarray([p.lo for p in boxes]) if boxes else np.zeros((0, dim))
-    hi = np.asarray([p.hi for p in boxes]) if boxes else np.zeros((0, dim))
-    nseg = remaining.shape[0] - 1
-    bad_seg = np.zeros(nseg, dtype=bool)
-    positions = remaining.reshape(-1, k, dim)
-    for r in range(k):
-        pts = positions[:, r, :]
-        bad_seg |= segments_hit_boxes(pts[:-1], pts[1:], lo, hi)
-        if implicit:
-            inside = np.array([any(p.contains(x) for p in implicit) for x in pts[1:]])
-            bad_seg |= inside
-    if k > 1 and boxes:
-        for i in range(k):
-            for j in range(i + 1, k):
-                link_bad = segments_hit_boxes(positions[1:, i, :], positions[1:, j, :], lo, hi)
-                bad_seg |= link_bad
-    idx = np.nonzero(bad_seg)[0]
+    positions = remaining.reshape(remaining.shape[0], -1, dim)  # (samples, k, dim)
+    i, j = np.triu_indices(positions.shape[1], 1)
+    starts = np.concatenate([positions[:-1], positions[1:, i]], axis=1)
+    ends = np.concatenate([positions[1:], positions[1:, j]], axis=1)
+    hit = segments_hit_boxes(starts.reshape(-1, dim), ends.reshape(-1, dim),
+                             known.lo, known.hi)
+    idx = np.flatnonzero(hit.reshape(starts.shape[:2]).any(axis=1))
     if idx.size == 0:
         return None
     return start + int(idx[0])
 
 
-def _blocking_primitives(a: np.ndarray, b: np.ndarray,
-                         known: KnownEnvironment) -> list:
-    """The revealed primitives responsible for the segment a -> b being
-    infeasible (crossed per robot, entered at b, or cutting a robot link)."""
-    from .geometry import segment_hits_box
-    dim = known.dim
+def _blocking_rows(a: np.ndarray, b: np.ndarray, known: KnownEnvironment) -> List[int]:
+    """Rows of the revealed boxes responsible for the segment a -> b being
+    infeasible (crossed per robot, or cutting a robot link at b)."""
     pa = known.robot_positions(a)
     pb = known.robot_positions(b)
-    k = len(pa)
-    hit = []
-    for prim in known.revealed_primitives():
-        bad = False
-        if prim.kind == "box":
-            for ra, rb in zip(pa, pb):
-                if segment_hits_box(ra, rb, prim.lo, prim.hi):
-                    bad = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if segment_hits_box(pb[i], pb[j], prim.lo, prim.hi):
-                        bad = True
-        else:
-            bad = any(prim.contains(pos) for pos in pb)
-        if bad:
-            hit.append(prim)
-    return hit
+    i, j = np.triu_indices(len(pb), 1)
+    segments = list(zip(pa, pb)) + list(zip(pb[i], pb[j]))
+    return [r for r, (lo, hi) in enumerate(zip(known.lo, known.hi))
+            if any(segment_hits_box(s, e, lo, hi) for s, e in segments)]
 
 
-def _clearance_to(x: np.ndarray, prims, known: KnownEnvironment) -> float:
-    if not prims:
+def _clearance_to(x: np.ndarray, rows: List[int], known: KnownEnvironment) -> float:
+    if not rows:
         return distance_to_revealed(x, known)
-    positions = known.robot_positions(x)
-    return min(p.distance_to(pos) for pos in positions for p in prims)
+    d = box_distances(known.robot_positions(x), known.lo[rows], known.hi[rows])
+    return float(d.min())
 
 
 def move_along(path: GraphPath, known: KnownEnvironment,
@@ -174,7 +145,7 @@ def move_along(path: GraphPath, known: KnownEnvironment,
     end = len(samples) - 1
     stop_at = end
     blocked = False
-    blockers: list = []
+    blockers: List[int] = []  # rows of known.lo/hi; recomputed whenever known changes
     need_check = True
     while True:
         if need_check:
@@ -186,10 +157,10 @@ def move_along(path: GraphPath, known: KnownEnvironment,
                 blockers = []
             else:
                 blocked = True
-                blockers = _blocking_primitives(samples[jb], samples[jb + 1], known)
+                blockers = _blocking_rows(samples[jb], samples[jb + 1], known)
                 threshold = cfg.stop_fraction * known.sensing_radius
                 stop_at = i
-                # Clearance is measured to the primitives that cut the path:
+                # Clearance is measured to the boxes that cut the path:
                 # earlier walls may legally sit closer than the stop band.
                 for j in range(jb, i - 1, -1):
                     if _clearance_to(samples[j], blockers, known) >= threshold:

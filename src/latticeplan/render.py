@@ -88,11 +88,8 @@ def _robot_points(x: np.ndarray, dim: int) -> List[np.ndarray]:
 
 
 def _draw_environment(c: _Canvas, known: KnownEnvironment):
-    revealed = set(known.revealed)
-    for i, prim in enumerate(known.truth.primitives):
-        if prim.kind != "box":
-            continue
-        c.rect(prim.lo, prim.hi, _DETECTED if i in revealed else _UNDETECTED)
+    for i, (lo, hi) in enumerate(zip(known.truth.lo, known.truth.hi)):
+        c.rect(lo, hi, _DETECTED if i in known.revealed else _UNDETECTED)
 
 
 def render_scene(known: KnownEnvironment, start, target,

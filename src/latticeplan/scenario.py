@@ -74,18 +74,22 @@ def _floats(parts: List[str], want: int, key: str, line: int) -> np.ndarray:
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    seen_dim = False
+    sized_at = None  # first line whose number count depends on dim
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         parts = stripped.split()
         key, args = parts[0], parts[1:]
+        if key in ("workspace", "start", "target", "obstacle", "region_shift"):
+            sized_at = sized_at or ln
         if key == "dim":
             if len(args) != 1 or args[0] not in ("2", "3"):
                 raise ScenarioError("dim must be 2 or 3", ln)
+            if int(args[0]) != sc.dim and sized_at is not None:
+                raise ScenarioError(f"dim {args[0]} must come before line {sized_at}, "
+                                    f"which was read for dim {sc.dim}", ln)
             sc.dim = int(args[0])
-            seen_dim = True
             if sc.workspace_lo.shape[0] != sc.dim:
                 sc.workspace_lo = np.zeros(sc.dim)
                 sc.workspace_hi = np.ones(sc.dim)

@@ -9,15 +9,15 @@ unrestricted expansion loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .environment import KnownEnvironment, distance_to_revealed
-from .geometry import (PotentialField, distance, multi_robot_feasible,
-                       point_feasible)
+from .geometry import (PotentialField, box_distances, distance,
+                       multi_robot_feasible, point_feasible)
 from .graph import (GenConfig, SearchGraph, axis_candidates, insert_candidates,
                     lattice_key, target_linkable)
 
@@ -84,14 +84,19 @@ def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
     return False
 
 
+def _clearances(configs, env: KnownEnvironment) -> np.ndarray:
+    """`distance_to_revealed` of each configuration in `configs`, in one call."""
+    pos = np.reshape(configs, (len(configs), -1, env.dim))
+    return box_distances(pos, env.lo, env.hi).min(axis=(1, 2), initial=np.inf)
+
+
 def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
                          cfg: GenConfig) -> List[int]:
     """Wall-hugging escape: admit only candidates within epsilon of a revealed
     obstacle, where epsilon is taken at the trap vertex (floored at step/2)."""
     pot = PotentialField(target=g.target)
     eps = max(distance_to_revealed(g.coords[trap], env), 0.5 * g.step)
-    pool = [v for v in range(g.count)
-            if distance_to_revealed(g.coords[v], env) <= eps]
+    pool = np.flatnonzero(_clearances(g.coords, env) <= eps).tolist()
     done = {v for v in pool if g.is_expanded(v)}  # their candidates were all tried
     added: List[int] = []
     relaxed = False
@@ -106,8 +111,8 @@ def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
             relaxed = True  # exhausted: fall back to unrestricted expansion
             break
         vid = min(frontier, key=lambda v: (g.potential_of(v), v))
-        cands = [q for q in axis_candidates(g, vid)
-                 if distance_to_revealed(q, env) <= eps]
+        cands = axis_candidates(g, vid)
+        cands = [q for q, d in zip(cands, _clearances(cands, env)) if d <= eps]
         new_ids = insert_candidates(g, vid, cands, env, cfg, pot)
         done.add(vid)
         pool.extend(new_ids)

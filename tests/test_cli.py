@@ -161,6 +161,16 @@ def test_non_finite_coordinate_is_scenario_error(tmp_path, capsys):
     assert "line 4: target: numbers must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "plan", "region"])
+@pytest.mark.parametrize("line", ["obstacle box 0.4 0.4 0.6 0.6", "region_shift 0.1 0.1"])
+def test_dim_after_a_sized_line_is_scenario_error(tmp_path, capsys, command, line):
+    p = tmp_path / "bad.scn"
+    p.write_text(line + "\n" + SLAB_3D_SCENARIO)
+    assert main([command, "--scenario", str(p)]) == 4
+    assert ("line 2: dim 3 must come before line 1, which was read for dim 2"
+            in capsys.readouterr().err)
+
+
 def test_batch_aggregates(scn, tmp_path):
     other = tmp_path / "other.scn"
     other.write_text(OPEN_SCENARIO.replace("step 0.05", "step 0.04"))

@@ -1,6 +1,7 @@
 """Sensing-radius revelation and environment snapshots."""
 
 import numpy as np
+import pytest
 
 import latticeplan as lp
 from latticeplan.environment import distance_to_revealed, sense
@@ -15,7 +16,13 @@ def _world():
 
 def test_initially_known_are_revealed():
     env = lp.KnownEnvironment.initial(_world(), 0.1)
-    assert [p.known for p in env.revealed_primitives()] == [True]
+    assert env.lo.tolist() == [[0.0, 0.9]] and env.hi.tolist() == [[0.1, 1.0]]
+
+
+def test_box_corners_must_match_the_workspace_dim():
+    box = lp.ObstaclePrimitive.box([0.4, 0.4], [0.6, 0.6])
+    with pytest.raises(ValueError, match=r"obstacle 0 has corners of shape \(2,\)"):
+        lp.GroundTruth.create(3, [0, 0, 0], [1, 1, 1], [box])
 
 
 def test_whole_primitive_revealed_on_contact():

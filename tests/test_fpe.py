@@ -4,12 +4,15 @@ The region is built from closed forms of the flow's limits; the explicit
 solver is the oracle they are compared with here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import latticeplan as lp
 from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
+from latticeplan.geometry import point_feasible, segment_feasible
 
 from conftest import containment_scenes
 
@@ -277,6 +280,53 @@ def test_gradient_weights_equal_node_loop():
                               _loop_gradient_weights(lat, pot))
         assert np.array_equal(fpe.gradient_weights(lat).d,
                               _loop_gradient_weights(lat))
+
+
+def _loop_lattice(env, anchor, dx):
+    """Grid points and up-edges tested one at a time: the loop Lattice.build
+    replaces.  Returns coords, key_map, edges and neighbors."""
+    anchor = np.asarray(anchor, dtype=float)
+    n = anchor.shape[0]
+    lo = np.tile(env.bounds_lo, n // env.dim)
+    hi = np.tile(env.bounds_hi, n // env.dim)
+    kmin = np.ceil((lo - anchor) / dx - 1e-9).astype(int)
+    kmax = np.floor((hi - anchor) / dx + 1e-9).astype(int)
+    coords, key_map = [], {}
+    for key in itertools.product(*(range(a, b + 1) for a, b in zip(kmin, kmax))):
+        x = anchor + dx * np.array(key)
+        if point_feasible(x, env):
+            key_map[key] = len(coords)
+            coords.append(x)
+    edges, neighbors = [], [[] for _ in coords]
+    for key, j in key_map.items():
+        for axis in range(n):
+            k = key_map.get(key[:axis] + (key[axis] + 1,) + key[axis + 1:])
+            if k is not None and segment_feasible(coords[j], coords[k], env):
+                edges.append([j, k])
+                neighbors[j].append(k)
+                neighbors[k].append(j)
+    return np.array(coords), key_map, edges, [sorted(ns) for ns in neighbors]
+
+
+def test_lattice_build_equals_point_and_edge_loop():
+    worlds = [(_env(prims), start, 0.05, target)
+              for _, prims, start, target in containment_scenes()]
+    slab = lp.GroundTruth.create(3, [0, 0, 0], [1, 1, 1], [
+        lp.ObstaclePrimitive.box([0.45, 0, 0], [0.48, 0.55, 1], known=True)])
+    worlds.append((lp.KnownEnvironment.initial(slab, 0.1).fully_revealed(),
+                   [0.1, 0.35, 0.35], 0.125, [0.85, 0.35, 0.35]))
+    # Two robots on a line: a node is a pair of positions, an edge moves one.
+    line = lp.GroundTruth.create(1, [0], [1], [
+        lp.ObstaclePrimitive.box([0.4], [0.55], known=True)])
+    worlds.append((lp.KnownEnvironment.initial(line, 0.1).fully_revealed(),
+                   [0.1, 0.8], 0.05, [0.8, 0.1]))
+    for env, start, dx, target in worlds:
+        lat = fpe.Lattice.build(env, start, dx, target)
+        coords, key_map, edges, neighbors = _loop_lattice(env, start, dx)
+        assert np.array_equal(lat.coords, coords)
+        assert list(lat.key_map.items()) == list(key_map.items())
+        assert lat.edges.tolist() == edges
+        assert lat.neighbors == neighbors
 
 
 def test_gibbs_steady_equals_solver_on_random_worlds():

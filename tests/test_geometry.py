@@ -65,11 +65,21 @@ class TestOpenBoxSegments:
         ends = rng.uniform(0, 1, (200, 2))
         boxes_lo = rng.uniform(0, 0.7, (5, 2))
         boxes_hi = boxes_lo + rng.uniform(0.05, 0.3, (5, 2))
-        got = segments_hit_boxes(starts, ends, boxes_lo, boxes_hi)
-        want = [any(segment_hits_box(a, b, lo, hi)
-                    for lo, hi in zip(boxes_lo, boxes_hi))
-                for a, b in zip(starts, ends)]
-        assert got.tolist() == want
+        cases = [(starts, ends, boxes_lo, boxes_hi)]
+        # On a 1/8 grid segments run along faces, keep axes (or all of them:
+        # points) fixed, and boxes have zero-width axes.
+        for d in (2, 3):
+            starts = rng.integers(0, 9, (400, d)) / 8
+            moved = rng.integers(0, 9, (400, d)) / 8
+            ends = np.where(rng.random((400, d)) < 0.5, starts, moved)
+            corners = np.sort(rng.integers(0, 9, (2, 8, d)), axis=0) / 8
+            cases.append((starts, ends, corners[0], corners[1]))
+        for starts, ends, boxes_lo, boxes_hi in cases:
+            got = segments_hit_boxes(starts, ends, boxes_lo, boxes_hi)
+            want = [any(segment_hits_box(a, b, lo, hi)
+                        for lo, hi in zip(boxes_lo, boxes_hi))
+                    for a, b in zip(starts, ends)]
+            assert got.tolist() == want
 
     def test_vectorized_degenerate_axis_outside_slab(self):
         # Vertical segment left of the box: constant-x axis outside the slab.
