@@ -52,7 +52,6 @@ class Lattice:
         hi = np.tile(env.bounds_hi, n // env.dim)
         kmin = np.ceil((lo - anchor) / dx - 1e-9).astype(int)
         kmax = np.floor((hi - anchor) / dx + 1e-9).astype(int)
-        pot = PotentialField(target=target)
         ranges = [range(kmin[i], kmax[i] + 1) for i in range(n)]
         shape = tuple(len(r) for r in ranges)
         grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
@@ -85,7 +84,8 @@ class Lattice:
         for a, b in edges_arr.tolist():
             neighbors[a].append(b)
             neighbors[b].append(a)
-        p = np.array([pot.value(x) for x in coords_arr])
+        d = coords_arr - target
+        p = np.sqrt(np.vecdot(d, d))  # each node's distance to the target
         return Lattice(coords=coords_arr, dx=dx, anchor=anchor, p=p,
                        edges=edges_arr, neighbors=[sorted(ns) for ns in neighbors],
                        key_map=key_map)

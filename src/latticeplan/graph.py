@@ -2,8 +2,8 @@
 toward the target, expanding the lowest-potential vertex first and admitting
 only candidates that pass all revealed constraints.
 
-Returns None ("empty graph") when every vertex has been expanded and no new
-candidate can be added, which certifies that no path exists at this pitch.
+A tree that ends with every vertex expanded and no target link (`target_id`
+None) certifies that no path exists at this pitch.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import LatticeConsistencyError, ResourceLimitError
-from .geometry import (PotentialField, as_config, distance,
-                       formation_segment_feasible, multi_robot_feasible,
-                       point_feasible)
+from .geometry import (as_config, distance, formation_segment_feasible,
+                       multi_robot_feasible, point_feasible)
 
 _TARGET_SNAP = 1e-12
 
@@ -46,8 +45,9 @@ class GenConfig:
 class SearchGraph:
     """Rooted tree of lattice configurations with potentials and ancestor links.
 
-    Vertices are stored in insertion order; the root has ancestor None.  The
-    target vertex, once linked, may sit off-lattice (key None).
+    Vertices are stored in insertion order; the root has ancestor None.  A
+    vertex's potential is its distance to the target.  The target vertex,
+    once linked, may sit off-lattice (key None).
     """
 
     def __init__(self, root: np.ndarray, target: np.ndarray, step: float):
@@ -95,6 +95,13 @@ class SearchGraph:
 
     def potential_of(self, vid: int) -> float:
         return float(self._pot[vid])
+
+    @property
+    def potentials(self) -> np.ndarray:
+        """Read-only view of every vertex's potential, by id."""
+        view = self._pot[:self.count]
+        view.flags.writeable = False
+        return view
 
     def is_expanded(self, vid: int) -> bool:
         return bool(self._expanded[vid])
@@ -147,18 +154,21 @@ def _band(env: KnownEnvironment):
     return env.truth.dmin, env.truth.dmax
 
 
+def candidate_open(g: SearchGraph, q: np.ndarray, env: KnownEnvironment) -> bool:
+    """Point-level admission: unvisited, in bounds, outside the revealed boxes
+    and, for a formation, inside the distance band."""
+    if lattice_key(q, g) in g.key_map or not point_feasible(q, env):
+        return False
+    dmin, dmax = _band(env)
+    return dmin is None or dmax is None or multi_robot_feasible(q, env, dmin, dmax)
+
+
 def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray,
                          env: KnownEnvironment, cfg: GenConfig) -> bool:
     """Admission test for a lattice candidate reached from an existing vertex."""
-    key = lattice_key(q, g)
-    if key in g.key_map:
-        return False
-    if not point_feasible(q, env):
+    if not candidate_open(g, q, env):
         return False
     dmin, dmax = _band(env)
-    if dmin is not None and dmax is not None:
-        if not multi_robot_feasible(q, env, dmin, dmax):
-            return False
     return formation_segment_feasible(g.coords[from_id], q, env, dmin, dmax, cfg.link_step)
 
 
@@ -186,8 +196,7 @@ def _link_target(g: SearchGraph, vid: int):
 
 
 def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
-                      env: KnownEnvironment, cfg: GenConfig,
-                      pot: PotentialField) -> List[int]:
+                      env: KnownEnvironment, cfg: GenConfig) -> List[int]:
     """Admit, insert and target-link a batch of candidates from vertex vid."""
     admitted = [q for q in candidates if candidate_admissible(g, vid, q, env, cfg)]
     if g.count + len(admitted) > cfg.max_vertices:
@@ -195,12 +204,13 @@ def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
             f"vertex budget {cfg.max_vertices} exceeded during graph generation")
     new_ids = []
     for q in admitted:
-        if distance(q, g.target) < _TARGET_SNAP:
+        p = distance(q, g.target)
+        qid = g.insert(q, p, vid, lattice_key(q, g))
+        if p < _TARGET_SNAP:
             # The candidate IS the target: treat the new vertex as the target.
-            qid = g.insert(q, pot.value(q), vid, lattice_key(q, g))
             g.target_id = qid
             return new_ids + [qid]
-        new_ids.append(g.insert(q, pot.value(q), vid, lattice_key(q, g)))
+        new_ids.append(qid)
     for qid in new_ids:
         if target_linkable(g, qid, env, cfg):
             _link_target(g, qid)
@@ -208,34 +218,31 @@ def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
     return new_ids
 
 
-def expand_vertex(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenConfig,
-                  pot: Optional[PotentialField] = None) -> List[int]:
+def expand_vertex(g: SearchGraph, vid: int, env: KnownEnvironment,
+                  cfg: GenConfig) -> List[int]:
     """Expand one vertex with its axis candidates; always marks it expanded."""
     if g.is_expanded(vid):
         raise ValueError(f"vertex {vid} already expanded")
-    if pot is None:
-        pot = PotentialField(target=g.target)
-    new_ids = insert_candidates(g, vid, axis_candidates(g, vid), env, cfg, pot)
+    new_ids = insert_candidates(g, vid, axis_candidates(g, vid), env, cfg)
     g.mark_expanded(vid)
     return new_ids
 
 
 def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
-                   pot: Optional[PotentialField] = None,
-                   escape=None) -> Optional[SearchGraph]:
+                   escape=None) -> SearchGraph:
     """Grow the lattice tree until the target is linked or the frontier dies.
 
-    Returns the graph with `target_id` set on success, None when no candidate
-    can ever be added (certified no-path at this pitch), and raises on vertex
-    budget exhaustion.  Deterministic for fixed inputs.
+    Returns the graph, with `target_id` set on success and None when no
+    candidate can ever be added (certified no-path at this pitch); raises on
+    vertex budget exhaustion.  A vertex none of whose admitted children lowers
+    the potential is a trap, where the `escape` policy runs once.
+    Deterministic for fixed inputs.
     """
     start = as_config(start)
     target = as_config(target)
-    if pot is None:
-        pot = PotentialField(target=target)
     g = SearchGraph(start, target, cfg.step)
-    root = g.insert(start, pot.value(start), None, tuple([0] * g.n))
-    if distance(start, target) < _TARGET_SNAP:
+    root = g.insert(start, distance(start, target), None, tuple([0] * g.n))
+    if g.potential_of(root) < _TARGET_SNAP:
         g.target_id = root
         return g
     if target_linkable(g, root, env, cfg):
@@ -248,9 +255,9 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
     while g.target_id is None:
         vid = g.argmin_unexpanded()
         if vid is None:
-            return None
+            return g
         base_pot = g.potential_of(vid)
-        new_ids = expand_vertex(g, vid, env, cfg, pot)
+        new_ids = expand_vertex(g, vid, env, cfg)
         if g.target_id is not None:
             break
         improved = any(g.potential_of(i) < base_pot for i in new_ids)

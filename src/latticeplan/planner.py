@@ -211,6 +211,7 @@ def plan(truth: GroundTruth, start, target, cfg: PlannerConfig) -> PlanResult:
         cap = max(4 * lattice_capacity(truth, cfg.step, start.shape[0]), 4)
 
     segments: List[PlanSegment] = []
+    trees: List[SearchGraph] = []  # every tree grown, an exhausted last one included
     trajectory: List[np.ndarray] = [start]
     x_c = start
     status = "resource-limit"
@@ -223,7 +224,8 @@ def plan(truth: GroundTruth, start, target, cfg: PlannerConfig) -> PlanResult:
         except ResourceLimitError:
             status = "resource-limit"
             break
-        if g is None:
+        trees.append(g)
+        if g.target_id is None:
             status = "no-feasible-path"
             break
         path = backtrace(g)
@@ -238,15 +240,15 @@ def plan(truth: GroundTruth, start, target, cfg: PlannerConfig) -> PlanResult:
             status = "resource-limit"
             break
 
-    counts = [s.graph.count for s in segments]
+    counts = [g.count for g in trees]
     metrics = {
         "num_robots": start.shape[0] // truth.dim,
         "l": cfg.step,
         "dim": start.shape[0],
         "avg_vertices": float(np.mean(counts)) if counts else 0.0,
         "max_vertices": max(counts) if counts else 0,
-        "trapped": any(s.graph.trapped for s in segments),
-        "num_graphs": len(segments),
+        "trapped": any(g.trapped for g in trees),
+        "num_graphs": len(trees),
     }
     return PlanResult(segments=segments, full_trajectory=trajectory,
                       status=status, metrics=metrics)

@@ -1,25 +1,26 @@
-"""Local-trap detection and dimension-reduced escape strategies.
+"""Dimension-reduced escape strategies for the traps `generate_graph` meets.
 
 Two modes: hug the revealed obstacle boundary (single or multi robot), or
-freeze the formation shape and move it rigidly (multi robot).  Either way,
-restricted expansion runs until some vertex near the shell top has a
-feasible, unvisited, lower-potential neighbor, then control returns to the
-unrestricted expansion loop.
+freeze the formation shape and move it rigidly (multi robot).  Both run one
+restricted search over a pool of vertices, expanding with the mode's
+candidates until some vertex near the pool's top has a feasible, unvisited,
+lower-potential neighbor; then control returns to the unrestricted
+expansion loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .environment import KnownEnvironment, distance_to_revealed
-from .geometry import (PotentialField, box_distances, distance,
-                       multi_robot_feasible, point_feasible)
-from .graph import (GenConfig, SearchGraph, axis_candidates, insert_candidates,
-                    lattice_key, target_linkable)
+from .geometry import box_distances, distance
+from .graph import (GenConfig, SearchGraph, axis_candidates, candidate_open,
+                    insert_candidates)
 
 _TIE = 1e-9
 
@@ -37,51 +38,48 @@ class TrapEscapePolicy:
             raise ValueError(f"unknown escape mode {self.mode!r}")
 
 
-def _candidate_open(g: SearchGraph, q: np.ndarray, env: KnownEnvironment) -> bool:
-    """Point-level openness: unvisited, in-bounds, outside revealed obstacles."""
-    if lattice_key(q, g) in g.key_map:
-        return False
-    if not point_feasible(q, env):
-        return False
-    dmin, dmax = env.truth.dmin, env.truth.dmax
-    if dmin is not None and dmax is not None:
-        if not multi_robot_feasible(q, env, dmin, dmax):
-            return False
-    return True
-
-
-def detect_local_min(g: SearchGraph, vid: int, env: KnownEnvironment,
-                     cfg: GenConfig) -> bool:
-    """True iff no feasible, unvisited, lower-potential neighbor of vid exists.
-
-    A vertex from which the target can be linked is never a local minimizer.
-    """
-    if target_linkable(g, vid, env, cfg):
-        return False
-    p_v = g.potential_of(vid)
-    pot = PotentialField(target=g.target)
-    for q in axis_candidates(g, vid):
-        if _candidate_open(g, q, env) and pot.value(q) < p_v:
-            return False
-    return True
+def _near_top(g: SearchGraph, pool: Sequence[int]) -> List[int]:
+    """Pool vertices within sqrt(2) steps of the pool's top vertex, the
+    highest-potential one; the pool ascends, so argmax takes the lowest id."""
+    if not pool:
+        return []
+    x = np.array([g.coords[v] for v in pool])
+    gap = x - x[np.argmax(g.potentials[pool])]
+    near = np.sqrt(np.vecdot(gap, gap)) <= sqrt(2.0) * g.step + _TIE
+    return [pool[i] for i in np.flatnonzero(near).tolist()]
 
 
 def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
                    moves_of) -> bool:
-    """Some pool vertex near the shell top has an open lower-potential move."""
-    if not pool:
-        return False
-    pot = PotentialField(target=g.target)
-    y = max(pool, key=lambda v: (g.potential_of(v), -v))
-    radius = sqrt(2.0) * g.step + _TIE
-    for x in pool:
-        if distance(g.coords[x], g.coords[y]) > radius:
-            continue
-        p_x = g.potential_of(x)
-        for q in moves_of(x):
-            if pot.value(q) < p_x and _candidate_open(g, q, env):
-                return True
-    return False
+    """Some pool vertex near the top has an open lower-potential move."""
+    return any(distance(q, g.target) < g.potential_of(v) and candidate_open(g, q, env)
+               for v in _near_top(g, pool) for q in moves_of(v))
+
+
+def _restricted_search(g: SearchGraph, pool: List[int], done: set, moves_of,
+                       candidates_of, env: KnownEnvironment,
+                       cfg: GenConfig) -> Tuple[List[int], bool, bool]:
+    """Expand the lowest-potential pool vertex not yet `done` with
+    `candidates_of(v)`, adding what it admits to the pool, until the escape
+    set is reached, the target is linked or the pool is exhausted.
+
+    Returns the added ids and whether the search escaped or was exhausted."""
+    added: List[int] = []
+    escaped = _in_escape_set(g, pool, env, moves_of)
+    while not escaped:
+        frontier = [v for v in pool if v not in done]
+        if not frontier:
+            return added, False, True
+        pot = g.potentials
+        vid = min(frontier, key=lambda v: (pot[v], v))
+        new_ids = insert_candidates(g, vid, candidates_of(vid), env, cfg)
+        done.add(vid)
+        pool.extend(new_ids)
+        added.extend(new_ids)
+        if g.target_id is not None:
+            break
+        escaped = _in_escape_set(g, pool, env, moves_of)
+    return added, escaped, False
 
 
 def _clearances(configs, env: KnownEnvironment) -> np.ndarray:
@@ -94,32 +92,17 @@ def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
                          cfg: GenConfig) -> List[int]:
     """Wall-hugging escape: admit only candidates within epsilon of a revealed
     obstacle, where epsilon is taken at the trap vertex (floored at step/2)."""
-    pot = PotentialField(target=g.target)
     eps = max(distance_to_revealed(g.coords[trap], env), 0.5 * g.step)
     pool = np.flatnonzero(_clearances(g.coords, env) <= eps).tolist()
     done = {v for v in pool if g.is_expanded(v)}  # their candidates were all tried
-    added: List[int] = []
-    relaxed = False
 
-    def moves(v):
-        return axis_candidates(g, v)
+    def near_moves(v):
+        cands = axis_candidates(g, v)
+        return [q for q, d in zip(cands, _clearances(cands, env)) if d <= eps]
 
-    escaped = _in_escape_set(g, pool, env, moves)
-    while not escaped:
-        frontier = [v for v in pool if v not in done]
-        if not frontier:
-            relaxed = True  # exhausted: fall back to unrestricted expansion
-            break
-        vid = min(frontier, key=lambda v: (g.potential_of(v), v))
-        cands = axis_candidates(g, vid)
-        cands = [q for q, d in zip(cands, _clearances(cands, env)) if d <= eps]
-        new_ids = insert_candidates(g, vid, cands, env, cfg, pot)
-        done.add(vid)
-        pool.extend(new_ids)
-        added.extend(new_ids)
-        if g.target_id is not None:
-            break
-        escaped = _in_escape_set(g, pool, env, moves)
+    # An exhausted shell falls back to unrestricted expansion.
+    added, escaped, relaxed = _restricted_search(
+        g, pool, done, partial(axis_candidates, g), near_moves, env, cfg)
     g.escape_log.append({"mode": "near-obstacle", "trap": trap, "epsilon": eps,
                          "added": len(added), "new_ids": list(added),
                          "escaped": escaped, "fallback": relaxed})
@@ -165,15 +148,14 @@ def _group_moves(g: SearchGraph, vid: int, comps: Sequence[Sequence[int]],
     return out
 
 
-def _shape_matches(g: SearchGraph, vid: int, ref: np.ndarray,
-                   pairs: Sequence[Tuple[int, int]], dim: int) -> bool:
-    v = g.coords[vid]
-    for i, j in pairs:
-        dv = v[i * dim:(i + 1) * dim] - v[j * dim:(j + 1) * dim]
-        dr = ref[i * dim:(i + 1) * dim] - ref[j * dim:(j + 1) * dim]
-        if np.max(np.abs(dv - dr)) > 1e-12:
-            return False
-    return True
+def _shape_matches(g: SearchGraph, ref: np.ndarray,
+                   pairs: Sequence[Tuple[int, int]], dim: int) -> np.ndarray:
+    """Per vertex, whether every constrained robot pair keeps its offset in `ref`."""
+    x = np.reshape(g.coords, (g.count, -1, dim))
+    r = ref.reshape(-1, dim)
+    i, j = np.reshape(np.asarray(pairs, dtype=int), (-1, 2)).T
+    drift = (x[:, i] - x[:, j]) - (r[i] - r[j])
+    return np.abs(drift).max(axis=(1, 2), initial=0.0) <= 1e-12
 
 
 def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
@@ -185,39 +167,18 @@ def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
     k = g.n // dim
     if k < 2:
         raise ValueError("fixed-shape escape requires a multi-robot configuration")
-    pot = PotentialField(target=g.target)
     ref = g.coords[trap]
     active = list(policy.shape_constraints) if policy.shape_constraints else _all_pairs(k)
     original = list(active)
     added: List[int] = []
-    rigid_ids: List[int] = []  # ids added before any constraint was relaxed
     relaxations = 0
-    escaped = False
-
     while True:
-        comps = _components(k, active)
-
-        def moves(v):
-            return _group_moves(g, v, comps, dim)
-
-        pool = [v for v in range(g.count)
-                if _shape_matches(g, v, ref, active, dim)]
-        done: set = set()
-        escaped = _in_escape_set(g, pool, env, moves)
-        while not escaped:
-            frontier = [v for v in pool if v not in done]
-            if not frontier:
-                break
-            vid = min(frontier, key=lambda v: (g.potential_of(v), v))
-            new_ids = insert_candidates(g, vid, moves(vid), env, cfg, pot)
-            done.add(vid)
-            pool.extend(new_ids)
-            added.extend(new_ids)
-            if relaxations == 0:
-                rigid_ids.extend(new_ids)
-            if g.target_id is not None:
-                break
-            escaped = _in_escape_set(g, pool, env, moves)
+        moves = partial(_group_moves, g, comps=_components(k, active), dim=dim)
+        pool = np.flatnonzero(_shape_matches(g, ref, active, dim)).tolist()
+        new_ids, escaped, _ = _restricted_search(g, pool, set(), moves, moves, env, cfg)
+        added.extend(new_ids)
+        if relaxations == 0:
+            rigid_ids = new_ids  # added before any constraint was relaxed
         if escaped or g.target_id is not None:
             break
         if not active:

@@ -72,14 +72,16 @@ def make_corridor(k: int, step: float = 0.04):
     return truth, start, target
 
 
-def make_deadend():
-    """C-shaped pocket opening toward the start; two-robot formation."""
+def make_deadend(k: int = 2):
+    """C-shaped pocket opening toward the start; a vertical file of k robots
+    0.06 apart (0.47 and 0.53 for two)."""
     prims = [lp.ObstaclePrimitive.box([0.55, 0.28], [0.61, 0.72]),
              lp.ObstaclePrimitive.box([0.33, 0.28], [0.55, 0.34]),
              lp.ObstaclePrimitive.box([0.33, 0.66], [0.55, 0.72])]
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims, dmin=0.03, dmax=0.13)
-    start = np.array([0.12, 0.47, 0.12, 0.53])
-    target = np.array([0.88, 0.47, 0.88, 0.53])
+    ys = [0.5 + 0.06 * (i - (k - 1) / 2) for i in range(k)]
+    start = np.array([[0.12, y] for y in ys]).ravel()
+    target = np.array([[0.88, y] for y in ys]).ravel()
     return truth, start, target
 
 

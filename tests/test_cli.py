@@ -85,10 +85,16 @@ def test_plan_success_writes_outputs(scn, tmp_path):
     assert (out / "segment_000.svg").exists()
 
 
-def test_plan_no_path_exit_code(tmp_path):
+def test_plan_no_path_exit_code(tmp_path, capsys):
     p = tmp_path / "sealed.scn"
     p.write_text(SEALED_SCENARIO)
-    assert main(["plan", "--scenario", str(p)]) == 2
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", str(p), "--out", str(out), "--metrics"]) == 2
+    # The exhausted tree that certifies no path is counted.
+    header, row = (out / "metrics.csv").read_text().splitlines()
+    metrics = dict(zip(header.split(","), row.split(",")))
+    assert metrics["num_graphs"] == "1" and int(metrics["max_vertices"]) > 1
+    assert "graphs: 1  max_vertices: " + metrics["max_vertices"] in capsys.readouterr().out
 
 
 def test_plan_resource_limit_exit_code(scn):

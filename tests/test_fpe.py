@@ -327,6 +327,8 @@ def test_lattice_build_equals_point_and_edge_loop():
         assert list(lat.key_map.items()) == list(key_map.items())
         assert lat.edges.tolist() == edges
         assert lat.neighbors == neighbors
+        pot = lp.PotentialField(target=np.asarray(target, dtype=float))
+        assert lat.p.tolist() == [pot.value(x) for x in coords]
 
 
 def test_gibbs_steady_equals_solver_on_random_worlds():

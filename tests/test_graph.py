@@ -74,7 +74,8 @@ def test_empty_graph_when_sealed():
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [box])
     env = lp.KnownEnvironment.initial(truth, 0.1)
     g = generate_graph([0.1, 0.1], [0.5, 0.5], env, GenConfig(step=0.04))
-    assert g is None
+    assert g.target_id is None and g.count > 1
+    assert all(g.is_expanded(v) for v in range(g.count))
 
 
 def test_resource_limit_distinct_from_empty():
@@ -118,3 +119,11 @@ def test_expansion_order_is_lowest_potential_first():
         a = g.ancestor[vid]
         if a is not None:
             assert a < vid
+
+
+def test_potentials_view_is_the_read_only_distance_to_target():
+    env = _empty_env()
+    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05))
+    pot = g.potentials
+    assert pot.shape == (g.count,) and not pot.flags.writeable
+    assert pot.tolist() == [lp.distance(x, g.target) for x in g.coords]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import latticeplan as lp
+from latticeplan.graph import GenConfig
 from latticeplan.planner import (PlannerConfig, densify, lattice_capacity,
                                  metrics_text, plan, trajectory_text)
 
@@ -55,14 +56,29 @@ def test_trajectory_collision_free_against_ground_truth():
         assert lp.geometry.segment_feasible(a, b, full)
 
 
-def test_no_feasible_path_status():
+def _sealed_world():
     walls = [lp.ObstaclePrimitive.box([0.3, 0.3], [0.7, 0.35], known=True),
              lp.ObstaclePrimitive.box([0.3, 0.65], [0.7, 0.7], known=True),
              lp.ObstaclePrimitive.box([0.3, 0.3], [0.35, 0.7], known=True),
              lp.ObstaclePrimitive.box([0.65, 0.3], [0.7, 0.7], known=True)]
-    truth = lp.GroundTruth.create(2, [0, 0], [1, 1], walls)
-    res = plan(truth, [0.1, 0.1], [0.5, 0.5], PlannerConfig(step=0.04, sensing_radius=0.1))
+    return lp.GroundTruth.create(2, [0, 0], [1, 1], walls)
+
+
+def test_no_feasible_path_status():
+    res = plan(_sealed_world(), [0.1, 0.1], [0.5, 0.5],
+               PlannerConfig(step=0.04, sensing_radius=0.1))
     assert res.status == "no-feasible-path"
+
+
+def test_no_path_metrics_count_the_exhausted_tree():
+    truth = _sealed_world()
+    res = plan(truth, [0.1, 0.1], [0.5, 0.5], PlannerConfig(step=0.04, sensing_radius=0.1))
+    known = lp.sense(lp.KnownEnvironment.initial(truth, 0.1), np.array([0.1, 0.1]))
+    g = lp.generate_graph([0.1, 0.1], [0.5, 0.5], known, GenConfig(step=0.04))
+    assert g.target_id is None and g.count > 1
+    assert res.metrics["max_vertices"] == res.metrics["avg_vertices"] == g.count
+    assert res.metrics["num_graphs"] == 1
+    assert res.metrics["trapped"] == g.trapped
 
 
 def test_resource_limit_status():

@@ -1,12 +1,15 @@
-"""Trap detection and the two restricted-expansion escape strategies."""
+"""The two restricted-expansion escape strategies and their shared pieces."""
+
+from math import sqrt
 
 import numpy as np
 import pytest
 
 import latticeplan as lp
+from latticeplan import trap_escape
 from latticeplan.environment import distance_to_revealed
-from latticeplan.graph import GenConfig, generate_graph
-from latticeplan.trap_escape import TrapEscapePolicy, detect_local_min
+from latticeplan.graph import GenConfig, axis_candidates, candidate_open, generate_graph
+from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
 
@@ -17,27 +20,6 @@ def _pocket_world():
              lp.ObstaclePrimitive.box([0.3, 0.3], [0.5, 0.35], known=True),
              lp.ObstaclePrimitive.box([0.3, 0.65], [0.5, 0.7], known=True)]
     return lp.GroundTruth.create(2, [0, 0], [1, 1], prims)
-
-
-def test_detect_local_min_at_pocket_back_wall():
-    truth = _pocket_world()
-    env = lp.KnownEnvironment.initial(truth, 0.1)
-    cfg = GenConfig(step=0.03)
-    # Flush against the back wall: the +x move lands strictly inside it and
-    # every other move raises the potential (or is already visited).
-    g = lp.SearchGraph(np.array([0.5, 0.5]), np.array([0.9, 0.5]), 0.03)
-    pot = lp.PotentialField(target=np.array([0.9, 0.5]))
-    g.insert(np.array([0.5, 0.5]), pot.value([0.5, 0.5]), None, (0, 0))
-    assert detect_local_min(g, 0, env, cfg)
-
-
-def test_open_vertex_is_not_local_min():
-    env = lp.KnownEnvironment.initial(lp.GroundTruth.create(2, [0, 0], [1, 1], []), 0.1)
-    cfg = GenConfig(step=0.03)
-    g = lp.SearchGraph(np.array([0.2, 0.5]), np.array([0.9, 0.5]), 0.03)
-    pot = lp.PotentialField(target=np.array([0.9, 0.5]))
-    g.insert(np.array([0.2, 0.5]), pot.value([0.2, 0.5]), None, (0, 0))
-    assert not detect_local_min(g, 0, env, cfg)
 
 
 def test_near_obstacle_episode_respects_shell():
@@ -115,3 +97,160 @@ def test_escape_reduces_vertices_in_deadend():
                                    escape=lp.TrapEscapePolicy(mode="fixed-shape")))
     assert base.status == esc.status == "success"
     assert esc.metrics["max_vertices"] < base.metrics["max_vertices"]
+
+
+def test_near_obstacle_escape_with_two_robots():
+    truth, start, target = make_deadend()
+    res = lp.plan(truth, start, target,
+                  lp.PlannerConfig(step=0.08, sensing_radius=0.12,
+                                   escape=TrapEscapePolicy(mode="near-obstacle")))
+    assert res.status == "success"
+    # Replay the sensing to recover what each tree was grown against.
+    known = lp.sense(lp.KnownEnvironment.initial(truth, 0.12), start)
+    checked = 0
+    for seg in res.segments:
+        g = seg.graph
+        for ep in g.escape_log:
+            assert ep["mode"] == "near-obstacle"
+            for v in ep["new_ids"]:
+                if v != g.target_id:
+                    assert distance_to_revealed(g.coords[v], known) <= ep["epsilon"] + 1e-12
+                    checked += 1
+        for x in seg.motion.traversed:
+            known = lp.sense(known, x)
+    assert checked > 0
+    gaps = [np.linalg.norm(x[:2] - x[2:]) for x in res.full_trajectory]
+    assert 0.03 - 1e-12 <= min(gaps) and max(gaps) <= 0.13 + 1e-12
+
+
+# -- the batched escape pieces against the per-vertex loops they replaced ----
+
+def _near_top_loop(g, pool):
+    """Pool vertices within sqrt(2) steps of the top vertex, one `distance`
+    each; the top is the highest potential, then the lowest id."""
+    y = max(pool, key=lambda v: (g.potential_of(v), -v))
+    radius = sqrt(2.0) * g.step + trap_escape._TIE
+    return [x for x in pool if not lp.distance(g.coords[x], g.coords[y]) > radius]
+
+
+def _in_escape_set_loop(g, pool, env, moves_of):
+    if not pool:
+        return False
+    pot = lp.PotentialField(target=g.target)
+    for x in _near_top_loop(g, pool):
+        p_x = g.potential_of(x)
+        for q in moves_of(x):
+            if pot.value(q) < p_x and candidate_open(g, q, env):
+                return True
+    return False
+
+
+def _shape_matches_loop(g, vid, ref, pairs, dim):
+    v = g.coords[vid]
+    for i, j in pairs:
+        dv = v[i * dim:(i + 1) * dim] - v[j * dim:(j + 1) * dim]
+        dr = ref[i * dim:(i + 1) * dim] - ref[j * dim:(j + 1) * dim]
+        if np.max(np.abs(dv - dr)) > 1e-12:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def grown_trees():
+    """(tree, env, robots) for dead ends of 2 and 3 robots, with and without
+    fixed-shape escape, and the one-robot pocket with wall hugging."""
+    out = []
+    for k, step in ((2, 0.04), (3, 0.06)):
+        truth, start, target = make_deadend(k)
+        full = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
+        for mode in ("none", "fixed-shape"):
+            res = lp.plan(truth, start, target,
+                          lp.PlannerConfig(step=step, sensing_radius=0.12,
+                                           escape=TrapEscapePolicy(mode=mode)))
+            out += [(s.graph, full, k) for s in res.segments]
+    env = lp.KnownEnvironment.initial(_pocket_world(), 0.1)
+    g = generate_graph([0.4, 0.5], [0.9, 0.5], env, GenConfig(step=0.03),
+                       escape=TrapEscapePolicy(mode="near-obstacle"))
+    return out + [(g, env, 1)]
+
+
+def _ascending_pools(g, rng):
+    ids = np.arange(g.count)
+    pools = [ids.tolist(), ids[:max(g.count // 3, 1)].tolist()]
+    for frac in (0.5, 0.1):
+        pools.append(ids[rng.random(g.count) < frac].tolist())
+    for ep in g.escape_log:
+        if ep["mode"] == "fixed-shape":
+            ref = g.coords[ep["trap"]]
+            active = list(ep["constraints"])
+            for r in range(ep["relaxations"] + 1):
+                pools.append(np.flatnonzero(trap_escape._shape_matches(
+                    g, ref, active[:len(active) - r], 2)).tolist())
+    return [p for p in pools if p]
+
+
+def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
+    rng = np.random.default_rng(7)
+    compared = escaping = 0
+    for g, env, k in grown_trees:
+        move_sets = [lambda v, g=g: axis_candidates(g, v)]
+        if k > 1:
+            comps = trap_escape._components(k, trap_escape._all_pairs(k))
+            move_sets.append(lambda v, g=g, comps=comps:
+                             trap_escape._group_moves(g, v, comps, 2))
+        for pool in _ascending_pools(g, rng):
+            assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
+            for moves in move_sets:
+                got = trap_escape._in_escape_set(g, pool, env, moves)
+                assert got == _in_escape_set_loop(g, pool, env, moves)
+                compared += 1
+                escaping += got
+    assert compared > 100 and 0 < escaping < compared
+
+
+def _hand_tree(points, potentials, step=0.05):
+    g = lp.SearchGraph(np.array(points[0]), np.array([0.9, 0.5]), step)
+    for x, p in zip(points, potentials):
+        g.insert(np.array(x, dtype=float), p, None, None)
+    return g
+
+
+def test_near_top_ties_go_to_the_lowest_id():
+    # Vertices 0 and 1 share the top potential, far apart; each has a
+    # neighbour of its own.
+    g = _hand_tree([[0.1, 0.5], [0.6, 0.5], [0.15, 0.5], [0.65, 0.5]],
+                   [1.0, 1.0, 0.5, 0.5])
+    for pool in ([0, 1, 2, 3], [1, 2, 3], [0, 3]):
+        assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
+    assert trap_escape._near_top(g, [0, 1, 2, 3]) == [0, 2]
+    assert trap_escape._near_top(g, [1, 2, 3]) == [1, 3]
+
+
+def test_near_top_radius_is_inclusive():
+    step = 0.05
+    radius = sqrt(2.0) * step + trap_escape._TIE
+    # The top sits at x = 0, so each gap is exactly the coordinate below.
+    g = _hand_tree([[0.0, 0.5], [step, 0.5 + step], [radius, 0.5],
+                    [np.nextafter(radius, 1.0), 0.5], [0.0, 0.5 - step]],
+                   [2.0, 1.0, 1.0, 1.0, 1.0], step)
+    assert lp.distance(g.coords[2], g.coords[0]) == radius
+    assert trap_escape._near_top(g, list(range(5))) == _near_top_loop(g, list(range(5)))
+    assert trap_escape._near_top(g, list(range(5))) == [0, 1, 2, 4]
+
+
+def test_shape_matches_equals_per_vertex_loop(grown_trees):
+    checked = 0
+    for g, _, k in grown_trees:
+        if k < 2:
+            continue
+        # Prefixes, as the relaxations drop pairs, and every single pair.
+        pairs = trap_escape._all_pairs(k)
+        subsets = [pairs[:r] for r in range(len(pairs) + 1)] + [[p] for p in pairs[1:]]
+        for ref in (g.coords[0], g.coords[g.count // 2], g.coords[g.count - 1]):
+            for active in subsets:
+                got = trap_escape._shape_matches(g, ref, active, 2)
+                want = [_shape_matches_loop(g, v, ref, active, 2) for v in range(g.count)]
+                assert got.tolist() == want
+                checked += 1
+                assert 0 < got.sum() < g.count or not active
+    assert checked > 0
