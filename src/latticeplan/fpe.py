@@ -192,58 +192,66 @@ def free_energy(f: DensityField, lat: Lattice) -> float:
     return e + f.beta * float(np.sum(f.rho[mask] * np.log(f.rho[mask])))
 
 
+class _Upwind:
+    """The work `cfl_dt` and `fpe_step` share on one lattice: the per-edge
+    coefficients of flow j -> k and k -> j at a density, and the CFL bound b1
+    of the largest node outflow.  They depend on the density only through the
+    entropy term, so at beta = 0 one instance serves a whole evolution."""
+
+    def __init__(self, f: DensityField, lat: Lattice, w: ProjectionWeights):
+        self.lat, (self.ej, self.ek) = lat, lat.edges.T.copy()
+        F = _f_vector(f, lat)
+        dF = F[self.ej] - F[self.ek]
+        self.pos = np.maximum(dF, 0.0) * w.d   # coefficient of flow j -> k
+        self.neg = np.maximum(-dF, 0.0) * w.d  # coefficient of flow k -> j
+        out_coef = self._per_node(self.ej, self.pos) + self._per_node(self.ek, self.neg)
+        self.b1 = np.inf if out_coef.max() <= 0.0 else 1.0 / out_coef.max()
+
+    def _per_node(self, ends: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.bincount(ends, weights=x, minlength=self.lat.size)
+
+    def flows(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Mass per unit step leaving each edge's j end and its k end."""
+        return self.pos * rho[self.ej], self.neg * rho[self.ek]
+
+    def dt(self, rho: np.ndarray, fwd: np.ndarray, back: np.ndarray,
+           safety: float) -> float:
+        in_flux = self._per_node(self.ek, fwd) + self._per_node(self.ej, back)
+        active = in_flux > 0.0
+        b2 = np.inf
+        if active.any():
+            with np.errstate(over="ignore", divide="ignore"):
+                b2 = float(((1.0 - rho[active]) / in_flux[active]).min())
+        raw = min(self.b1, b2)
+        scale = 1.0 if not np.isfinite(raw) else min(safety * raw, 1.0)
+        return scale * self.lat.dx * self.lat.dx
+
+    def advance(self, f: DensityField, fwd: np.ndarray, back: np.ndarray,
+                dt: float) -> DensityField:
+        t = (fwd - back) * (dt / (self.lat.dx * self.lat.dx))  # net transfer j -> k
+        rho = f.rho + (self._per_node(self.ek, t) - self._per_node(self.ej, t))
+        if rho.min() < -1e-14:
+            raise CflViolationError(
+                f"negative mass {rho.min():.3e} detected: step {dt:.3e} violates the CFL bound")
+        if rho.max() > 1.0 + 1e-12:
+            raise CflViolationError(
+                f"mass {rho.max():.6f} exceeded 1: step {dt:.3e} violates the CFL bound")
+        return DensityField(rho=rho, beta=f.beta)
+
+
 def cfl_dt(f: DensityField, lat: Lattice, w: ProjectionWeights,
            safety: float = 0.9) -> float:
     """Largest stable explicit step (scaled by the safety factor), capped at
     dx^2 when both stability bounds are vacuous."""
-    if lat.edges.shape[0] == 0:
-        return lat.dx * lat.dx
-    F = _f_vector(f, lat)
-    ej = lat.edges[:, 0]
-    ek = lat.edges[:, 1]
-    dF = F[ej] - F[ek]
-    pos = np.maximum(dF, 0.0) * w.d   # coefficient of flow j -> k
-    neg = np.maximum(-dF, 0.0) * w.d  # coefficient of flow k -> j
-    m = lat.size
-    out_coef = np.bincount(ej, weights=pos, minlength=m) + \
-        np.bincount(ek, weights=neg, minlength=m)
-    in_flux = np.bincount(ek, weights=pos * f.rho[ej], minlength=m) + \
-        np.bincount(ej, weights=neg * f.rho[ek], minlength=m)
-    b1 = np.inf if out_coef.max() <= 0.0 else 1.0 / out_coef.max()
-    active = in_flux > 0.0
-    if not np.any(active):
-        b2 = np.inf
-    else:
-        with np.errstate(over="ignore", divide="ignore"):
-            b2 = float(np.min((1.0 - f.rho[active]) / in_flux[active]))
-    raw = min(b1, b2)
-    scale = 1.0 if not np.isfinite(raw) else min(safety * raw, 1.0)
-    return scale * lat.dx * lat.dx
+    up = _Upwind(f, lat, w)
+    return up.dt(f.rho, *up.flows(f.rho), safety)
 
 
 def fpe_step(f: DensityField, lat: Lattice, w: ProjectionWeights,
              dt: float) -> DensityField:
     """One explicit Euler step of the upwind scheme; conserves mass edge-wise."""
-    if lat.edges.shape[0] == 0:
-        return DensityField(rho=f.rho.copy(), beta=f.beta)
-    F = _f_vector(f, lat)
-    ej = lat.edges[:, 0]
-    ek = lat.edges[:, 1]
-    dF = F[ej] - F[ek]
-    scale = dt / (lat.dx * lat.dx)
-    # net transfer from j to k along each edge
-    t = (np.maximum(dF, 0.0) * f.rho[ej] - np.maximum(-dF, 0.0) * f.rho[ek]) * w.d * scale
-    m = lat.size
-    delta = np.bincount(ek, weights=t, minlength=m) - \
-        np.bincount(ej, weights=t, minlength=m)
-    rho = f.rho + delta
-    if rho.min() < -1e-14:
-        raise CflViolationError(
-            f"negative mass {rho.min():.3e} detected: step {dt:.3e} violates the CFL bound")
-    if rho.max() > 1.0 + 1e-12:
-        raise CflViolationError(
-            f"mass {rho.max():.6f} exceeded 1: step {dt:.3e} violates the CFL bound")
-    return DensityField(rho=rho, beta=f.beta)
+    up = _Upwind(f, lat, w)
+    return up.advance(f, *up.flows(f.rho), dt)
 
 
 @dataclass
@@ -277,9 +285,12 @@ def evolve_to_steady(f: DensityField, lat: Lattice, w: ProjectionWeights,
     shrink = 1.0
     streak = 0
     it = 0
+    up = _Upwind(f, lat, w)
+    fwd, back = up.flows(f.rho)  # shared by the CFL step and every retry at f
+    cfl = up.dt(f.rho, fwd, back, safety)
     for it in range(1, max_iters + 1):
-        dt = shrink * cfl_dt(f, lat, w, safety=safety)
-        nxt = fpe_step(f, lat, w, dt)
+        dt = shrink * cfl
+        nxt = up.advance(f, fwd, back, dt)
         fe_next = free_energy(nxt, lat)
         if fe_next > fe + 1e-15 and shrink > 1e-9:
             shrink *= 0.5
@@ -302,6 +313,10 @@ def evolve_to_steady(f: DensityField, lat: Lattice, w: ProjectionWeights,
             return EvolveResult(field=f, converged=True, iterations=it,
                                 residual=residual, max_mass_error=mass_err,
                                 max_energy_increase=energy_inc)
+        if f.beta != 0.0:
+            up = _Upwind(f, lat, w)
+        fwd, back = up.flows(f.rho)
+        cfl = up.dt(f.rho, fwd, back, safety)
     return EvolveResult(field=f, converged=False, iterations=it,
                         residual=residual, max_mass_error=mass_err,
                         max_energy_increase=energy_inc)

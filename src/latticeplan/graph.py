@@ -2,23 +2,33 @@
 toward the target, expanding the lowest-potential vertex first and admitting
 only candidates that pass all revealed constraints.
 
+Every vertex carries an integer lattice key.  The root's is all zeros; a
+move's key is its parent's key +-1 on each moved axis, so no key is ever
+rounded from floats.  The unexpanded vertices sit in a heap of
+(potential, id), which gives the lowest potential first and the lowest id
+on ties.
+
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .environment import KnownEnvironment
-from .errors import LatticeConsistencyError, ResourceLimitError
+from .errors import ResourceLimitError
 from .geometry import (as_config, distance, formation_segment_feasible,
                        multi_robot_feasible, point_feasible)
 
 _TARGET_SNAP = 1e-12
+
+Key = Tuple[int, ...]
+Candidate = Tuple[np.ndarray, Key]  # a move's coordinates and lattice key
 
 
 @dataclass
@@ -57,10 +67,11 @@ class SearchGraph:
         self.n = root.shape[0]
         self.coords: List[np.ndarray] = []
         self.ancestor: List[Optional[int]] = []
-        self.keys: List[Optional[Tuple[int, ...]]] = []
+        self.keys: List[Optional[Key]] = []
         self.key_map: dict = {}
         self._pot = np.empty(64, dtype=float)
-        self._expanded = np.zeros(64, dtype=bool)
+        self._expanded: List[bool] = []
+        self._frontier: List[Tuple[float, int]] = []  # heap of (potential, id)
         self.count = 0
         self.target_id: Optional[int] = None
         self.trapped = False
@@ -69,25 +80,19 @@ class SearchGraph:
 
     # -- storage ---------------------------------------------------------
 
-    def _grow(self):
-        cap = self._pot.shape[0]
-        if self.count >= cap:
-            self._pot = np.resize(self._pot, cap * 2)
-            exp = np.zeros(cap * 2, dtype=bool)
-            exp[:cap] = self._expanded
-            self._expanded = exp
-
     def insert(self, coords: np.ndarray, pot_value: float,
-               ancestor: Optional[int], key: Optional[Tuple[int, ...]]) -> int:
-        self._grow()
+               ancestor: Optional[int], key: Optional[Key]) -> int:
         vid = self.count
+        if vid == self._pot.shape[0]:
+            self._pot = np.resize(self._pot, 2 * vid)
         self.coords.append(coords)
         self.ancestor.append(ancestor)
         self.keys.append(key)
         if key is not None:
             self.key_map[key] = vid
         self._pot[vid] = pot_value
-        self._expanded[vid] = False
+        self._expanded.append(False)
+        heapq.heappush(self._frontier, (pot_value, vid))
         self.count += 1
         return vid
 
@@ -104,20 +109,17 @@ class SearchGraph:
         return view
 
     def is_expanded(self, vid: int) -> bool:
-        return bool(self._expanded[vid])
+        return self._expanded[vid]
 
     def mark_expanded(self, vid: int):
         self._expanded[vid] = True
 
     def argmin_unexpanded(self) -> Optional[int]:
         """Lowest-potential unexpanded vertex; FIFO tie-break by insertion order."""
-        pot = self._pot[:self.count]
-        mask = self._expanded[:self.count]
-        masked = np.where(mask, np.inf, pot)
-        vid = int(np.argmin(masked))
-        if masked[vid] == np.inf:
-            return None
-        return vid
+        heap = self._frontier
+        while heap and self._expanded[heap[0][1]]:
+            heapq.heappop(heap)
+        return heap[0][1] if heap else None
 
     def edges(self):
         for vid in range(self.count):
@@ -136,76 +138,53 @@ class SearchGraph:
         return "\n".join(lines) + "\n"
 
 
-def lattice_key(x, g: SearchGraph) -> Tuple[int, ...]:
-    """Integer lattice coordinates of x relative to the graph anchor.
-
-    Raises when any component is farther than a quarter step from the
-    nearest lattice multiple (the point was not generated by +-step moves).
-    """
-    rel = (as_config(x) - g.anchor) / g.step
-    rounded = np.rint(rel)
-    if np.any(np.abs(rel - rounded) > 0.25):
-        raise LatticeConsistencyError(
-            f"configuration {x} is off-lattice for anchor {g.anchor}, step {g.step}")
-    return tuple(int(v) for v in rounded)
-
-
-def _band(env: KnownEnvironment):
-    return env.truth.dmin, env.truth.dmax
-
-
-def candidate_open(g: SearchGraph, q: np.ndarray, env: KnownEnvironment) -> bool:
+def candidate_open(g: SearchGraph, q: np.ndarray, key: Key,
+                   env: KnownEnvironment) -> bool:
     """Point-level admission: unvisited, in bounds, outside the revealed boxes
     and, for a formation, inside the distance band."""
-    if lattice_key(q, g) in g.key_map or not point_feasible(q, env):
+    if key in g.key_map or not point_feasible(q, env):
         return False
-    dmin, dmax = _band(env)
+    dmin, dmax = env.truth.dmin, env.truth.dmax
     return dmin is None or dmax is None or multi_robot_feasible(q, env, dmin, dmax)
 
 
-def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray,
+def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray, key: Key,
                          env: KnownEnvironment, cfg: GenConfig) -> bool:
     """Admission test for a lattice candidate reached from an existing vertex."""
-    if not candidate_open(g, q, env):
-        return False
-    dmin, dmax = _band(env)
-    return formation_segment_feasible(g.coords[from_id], q, env, dmin, dmax, cfg.link_step)
+    return candidate_open(g, q, key, env) and formation_segment_feasible(
+        g.coords[from_id], q, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
 
 
-def axis_candidates(g: SearchGraph, vid: int) -> List[np.ndarray]:
+def axis_candidates(g: SearchGraph, vid: int) -> List[Candidate]:
     """The 2n lattice moves from a vertex, in deterministic axis order."""
-    v = g.coords[vid]
+    v, key = g.coords[vid], g.keys[vid]
     out = []
     for axis in range(g.n):
-        for sign in (1.0, -1.0):
+        for sign in (1, -1):
             q = v.copy()
             q[axis] += sign * g.step
-            out.append(q)
+            out.append((q, key[:axis] + (key[axis] + sign,) + key[axis + 1:]))
     return out
 
 
 def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenConfig) -> bool:
-    if distance(g.coords[vid], g.target) > cfg.connect_radius:
-        return False
-    dmin, dmax = _band(env)
-    return formation_segment_feasible(g.coords[vid], g.target, env, dmin, dmax, cfg.link_step)
+    # The stored potential is the distance to the target.
+    return g._pot[vid] <= cfg.connect_radius and formation_segment_feasible(
+        g.coords[vid], g.target, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
 
 
-def _link_target(g: SearchGraph, vid: int):
-    g.target_id = g.insert(g.target.copy(), 0.0, vid, None)
-
-
-def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
+def insert_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
                       env: KnownEnvironment, cfg: GenConfig) -> List[int]:
     """Admit, insert and target-link a batch of candidates from vertex vid."""
-    admitted = [q for q in candidates if candidate_admissible(g, vid, q, env, cfg)]
+    admitted = [(q, key) for q, key in candidates
+                if candidate_admissible(g, vid, q, key, env, cfg)]
     if g.count + len(admitted) > cfg.max_vertices:
         raise ResourceLimitError(
             f"vertex budget {cfg.max_vertices} exceeded during graph generation")
     new_ids = []
-    for q in admitted:
+    for q, key in admitted:
         p = distance(q, g.target)
-        qid = g.insert(q, p, vid, lattice_key(q, g))
+        qid = g.insert(q, p, vid, key)
         if p < _TARGET_SNAP:
             # The candidate IS the target: treat the new vertex as the target.
             g.target_id = qid
@@ -213,18 +192,8 @@ def insert_candidates(g: SearchGraph, vid: int, candidates: List[np.ndarray],
         new_ids.append(qid)
     for qid in new_ids:
         if target_linkable(g, qid, env, cfg):
-            _link_target(g, qid)
+            g.target_id = g.insert(g.target.copy(), 0.0, qid, None)
             break
-    return new_ids
-
-
-def expand_vertex(g: SearchGraph, vid: int, env: KnownEnvironment,
-                  cfg: GenConfig) -> List[int]:
-    """Expand one vertex with its axis candidates; always marks it expanded."""
-    if g.is_expanded(vid):
-        raise ValueError(f"vertex {vid} already expanded")
-    new_ids = insert_candidates(g, vid, axis_candidates(g, vid), env, cfg)
-    g.mark_expanded(vid)
     return new_ids
 
 
@@ -246,7 +215,7 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         g.target_id = root
         return g
     if target_linkable(g, root, env, cfg):
-        _link_target(g, root)
+        g.target_id = g.insert(g.target.copy(), 0.0, root, None)
         return g
 
     from . import trap_escape  # deferred: trap_escape builds on this module
@@ -257,7 +226,8 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         if vid is None:
             return g
         base_pot = g.potential_of(vid)
-        new_ids = expand_vertex(g, vid, env, cfg)
+        new_ids = insert_candidates(g, vid, axis_candidates(g, vid), env, cfg)
+        g.mark_expanded(vid)
         if g.target_id is not None:
             break
         improved = any(g.potential_of(i) < base_pot for i in new_ids)

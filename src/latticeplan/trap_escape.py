@@ -10,17 +10,18 @@ expansion loop.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import partial
 from math import sqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .environment import KnownEnvironment, distance_to_revealed
 from .geometry import box_distances, distance
-from .graph import (GenConfig, SearchGraph, axis_candidates, candidate_open,
-                    insert_candidates)
+from .graph import (Candidate, GenConfig, SearchGraph, axis_candidates,
+                    candidate_open, insert_candidates)
 
 _TIE = 1e-9
 
@@ -31,7 +32,6 @@ class TrapEscapePolicy:
 
     mode: str = "none"  # none | near-obstacle | fixed-shape
     shape_constraints: Optional[List[Tuple[int, int]]] = None  # robot index pairs
-    epsilon_floor: float = 0.5  # floor on epsilon, in units of the lattice step
 
     def __post_init__(self):
         if self.mode not in ("none", "near-obstacle", "fixed-shape"):
@@ -50,35 +50,44 @@ def _near_top(g: SearchGraph, pool: Sequence[int]) -> List[int]:
 
 
 def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
-                   moves_of) -> bool:
-    """Some pool vertex near the top has an open lower-potential move."""
-    return any(distance(q, g.target) < g.potential_of(v) and candidate_open(g, q, env)
-               for v in _near_top(g, pool) for q in moves_of(v))
+                   moves_of, closed: Set[int]) -> bool:
+    """Some pool vertex near the top has an open lower-potential move.  A
+    vertex found with none joins `closed` and is skipped from then on: while
+    `env` is fixed and `g.key_map` only grows, a closed move stays closed."""
+    for v in _near_top(g, pool):
+        if v not in closed:
+            if any(distance(q, g.target) < g.potential_of(v) and candidate_open(g, q, key, env)
+                   for q, key in moves_of(v)):
+                return True
+            closed.add(v)
+    return False
 
 
-def _restricted_search(g: SearchGraph, pool: List[int], done: set, moves_of,
+def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], moves_of,
                        candidates_of, env: KnownEnvironment,
                        cfg: GenConfig) -> Tuple[List[int], bool, bool]:
-    """Expand the lowest-potential pool vertex not yet `done` with
-    `candidates_of(v)`, adding what it admits to the pool, until the escape
-    set is reached, the target is linked or the pool is exhausted.
+    """Expand the lowest-potential pool vertex not yet `done` (lowest id on
+    ties) with `candidates_of(v)`, adding what it admits to the pool, until
+    the escape set is reached, the target is linked or the pool is exhausted.
 
     Returns the added ids and whether the search escaped or was exhausted."""
     added: List[int] = []
-    escaped = _in_escape_set(g, pool, env, moves_of)
+    frontier = [(g.potential_of(v), v) for v in pool if v not in done]
+    heapq.heapify(frontier)
+    closed: Set[int] = set()
+    escaped = _in_escape_set(g, pool, env, moves_of, closed)
     while not escaped:
-        frontier = [v for v in pool if v not in done]
         if not frontier:
             return added, False, True
-        pot = g.potentials
-        vid = min(frontier, key=lambda v: (pot[v], v))
+        _, vid = heapq.heappop(frontier)
         new_ids = insert_candidates(g, vid, candidates_of(vid), env, cfg)
-        done.add(vid)
         pool.extend(new_ids)
         added.extend(new_ids)
         if g.target_id is not None:
             break
-        escaped = _in_escape_set(g, pool, env, moves_of)
+        for i in new_ids:
+            heapq.heappush(frontier, (g.potential_of(i), i))
+        escaped = _in_escape_set(g, pool, env, moves_of, closed)
     return added, escaped, False
 
 
@@ -98,7 +107,8 @@ def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
 
     def near_moves(v):
         cands = axis_candidates(g, v)
-        return [q for q, d in zip(cands, _clearances(cands, env)) if d <= eps]
+        return [c for c, d in zip(cands, _clearances([q for q, _ in cands], env))
+                if d <= eps]
 
     # An exhausted shell falls back to unrestricted expansion.
     added, escaped, relaxed = _restricted_search(
@@ -134,17 +144,19 @@ def _components(k: int, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
 
 
 def _group_moves(g: SearchGraph, vid: int, comps: Sequence[Sequence[int]],
-                 dim: int) -> List[np.ndarray]:
+                 dim: int) -> List[Candidate]:
     """Translate one rigid group by one lattice step per workspace axis."""
-    v = g.coords[vid]
+    v, key = g.coords[vid], g.keys[vid]
     out = []
     for comp in comps:
         for axis in range(dim):
-            for sign in (1.0, -1.0):
+            for sign in (1, -1):
                 q = v.copy()
+                k = list(key)
                 for r in comp:
                     q[r * dim + axis] += sign * g.step
-                out.append(q)
+                    k[r * dim + axis] += sign
+                out.append((q, tuple(k)))
     return out
 
 

@@ -110,6 +110,45 @@ def test_beta_zero_support_two_basins():
     assert support == {0, 4}
 
 
+def _evolve_by_public_steps(f, lat, w, tol, safety=0.9):
+    """evolve_to_steady's loop with a fresh `cfl_dt` and `fpe_step` at every
+    trial step: the solver before it kept the beta = 0 coefficients."""
+    fe, shrink, streak = fpe.free_energy(f, lat), 1.0, 0
+    for it in itertools.count(1):
+        dt = shrink * fpe.cfl_dt(f, lat, w, safety=safety)
+        nxt = fpe.fpe_step(f, lat, w, dt)
+        fe_next = fpe.free_energy(nxt, lat)
+        if fe_next > fe + 1e-15 and shrink > 1e-9:
+            shrink, streak = shrink * 0.5, 0
+            continue
+        residual = float(np.max(np.abs(nxt.rho - f.rho))) / dt
+        fe, f, streak = fe_next, nxt, streak + 1
+        if shrink < 1.0 and streak >= 50:
+            shrink, streak = min(1.0, shrink * 2.0), 0
+        if residual < tol:
+            return f.rho, it, residual
+
+
+def test_evolution_equals_fresh_public_steps():
+    """Kept coefficients at beta = 0 and shared flows at every beta give the
+    same densities bit for bit, after the same number of trial steps."""
+    rng = np.random.default_rng(11)
+    box = lp.ObstaclePrimitive.box([0.3, 0.2], [0.45, 0.7], known=True)
+    lat = fpe.Lattice.build(_env([box]), rng.uniform(0.0, 0.1, 2), 0.1, [0.8, 0.4])
+    chain = _chain([0.0, 0.4, 0.8, 0.3, 0.1])
+    cases = [(chain, fpe.DensityField.uniform(chain, 0.0), fpe.diffusion_weights(chain)),
+             (lat, fpe.DensityField.uniform(lat, 0.05), fpe.diffusion_weights(lat))]
+    for node in (lat.size // 2, lat.size - 1):
+        cases += [(lat, fpe.DensityField.delta(lat, node), fpe.diffusion_weights(lat)),
+                  (lat, fpe.DensityField.delta(lat, node), fpe.gradient_weights(lat))]
+    for case, f, w in cases:
+        res = fpe.evolve_to_steady(f, case, w, tol=1e-9)
+        rho, iterations, residual = _evolve_by_public_steps(f, case, w, 1e-9)
+        assert res.converged and res.iterations == iterations
+        assert res.residual == residual
+        assert res.field.rho.tobytes() == rho.tobytes()
+
+
 def test_gradient_weights_pick_steepest_axis():
     env = _env()
     lat = fpe.Lattice.build(env, [0.0, 0.0], 0.1, [0.9, 0.2])

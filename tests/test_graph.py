@@ -5,7 +5,34 @@ import pytest
 
 import latticeplan as lp
 from latticeplan.errors import LatticeConsistencyError, ResourceLimitError
-from latticeplan.graph import GenConfig, generate_graph, lattice_key
+from latticeplan.geometry import as_config
+from latticeplan.graph import GenConfig, SearchGraph, generate_graph
+
+from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
+
+
+def lattice_key(x, g: SearchGraph):
+    """Integer lattice coordinates of x relative to the graph anchor, rounded
+    from its floats: the oracle for the keys the tree derives from parents.
+
+    Raises when any component is farther than a quarter step from the
+    nearest lattice multiple (the point was not generated by +-step moves).
+    """
+    rel = (as_config(x) - g.anchor) / g.step
+    rounded = np.rint(rel)
+    if np.any(np.abs(rel - rounded) > 0.25):
+        raise LatticeConsistencyError(
+            f"configuration {x} is off-lattice for anchor {g.anchor}, step {g.step}")
+    return tuple(int(v) for v in rounded)
+
+
+def argmin_unexpanded_scan(g: SearchGraph):
+    """The masked O(V) scan the frontier heap replaced: the unexpanded vertex
+    of lowest potential, the lowest id on ties."""
+    expanded = [g.is_expanded(v) for v in range(g.count)]
+    masked = np.where(expanded, np.inf, g.potentials)
+    vid = int(np.argmin(masked))
+    return None if masked[vid] == np.inf else vid
 
 
 def _empty_env(dim=2):
@@ -127,3 +154,56 @@ def test_potentials_view_is_the_read_only_distance_to_target():
     pot = g.potentials
     assert pot.shape == (g.count,) and not pot.flags.writeable
     assert pot.tolist() == [lp.distance(x, g.target) for x in g.coords]
+
+
+def _tree_runs():
+    """(name, truth, start, target, config) of the runs whose trees the key
+    and frontier oracles check."""
+    runs = []
+    truth, start, target = make_sealed(0)
+    runs.append(("sealed", truth, start, target,
+                 lp.PlannerConfig(step=0.04, sensing_radius=0.1)))
+    truth, start, target = make_maze(3)
+    runs.append(("maze", truth, start, target,
+                 lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+    for k in (1, 2, 3):
+        truth, start, target = make_corridor(k)
+        runs.append((f"corridor-{k}", truth, start, target,
+                     lp.PlannerConfig(step=0.04, sensing_radius=0.12)))
+    truth, start, target = make_deadend()
+    for mode, step in (("fixed-shape", 0.04), ("near-obstacle", 0.06)):
+        runs.append((f"deadend-{mode}", truth, start, target,
+                     lp.PlannerConfig(step=step, sensing_radius=0.12,
+                                      escape=lp.TrapEscapePolicy(mode=mode))))
+    return runs
+
+
+def test_parent_keys_and_heap_frontier_equal_their_oracles(monkeypatch):
+    """Every tree vertex's key equals the key rounded from its coordinates,
+    and at every expansion the heap picks the vertex the masked scan picks."""
+    heap_pick = SearchGraph.argmin_unexpanded
+    picks = 0
+
+    def checked_pick(g):
+        nonlocal picks
+        vid = heap_pick(g)
+        assert vid == argmin_unexpanded_scan(g)
+        picks += 1
+        return vid
+
+    monkeypatch.setattr(SearchGraph, "argmin_unexpanded", checked_pick)
+    for name, truth, start, target, cfg in _tree_runs():
+        res = lp.plan(truth, start, target, cfg)
+        want = "no-feasible-path" if name == "sealed" else "success"
+        assert res.status == want, name
+        if name.startswith("deadend"):
+            assert any(s.graph.escape_log for s in res.segments), name
+        for seg in res.segments:
+            g = seg.graph
+            for vid in range(g.count):
+                if g.keys[vid] is None:
+                    assert vid == g.target_id  # only a linked target is off-lattice
+                else:
+                    assert g.keys[vid] == lattice_key(g.coords[vid], g), (name, vid)
+                    assert g.key_map[g.keys[vid]] == vid
+    assert picks > 1000

@@ -8,10 +8,12 @@ import pytest
 import latticeplan as lp
 from latticeplan import trap_escape
 from latticeplan.environment import distance_to_revealed
-from latticeplan.graph import GenConfig, axis_candidates, candidate_open, generate_graph
+from latticeplan.graph import (GenConfig, axis_candidates, candidate_open, generate_graph,
+                               insert_candidates)
 from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
+from test_graph import lattice_key
 
 
 def _pocket_world():
@@ -123,6 +125,19 @@ def test_near_obstacle_escape_with_two_robots():
     assert 0.03 - 1e-12 <= min(gaps) and max(gaps) <= 0.13 + 1e-12
 
 
+def test_near_obstacle_escape_with_two_robots_at_fine_pitch():
+    """Two robots wall-hugging out of the dead end at step 0.04, through
+    about 1,500 escape episodes, keep inside the formation band."""
+    truth, start, target = make_deadend()
+    res = lp.plan(truth, start, target,
+                  lp.PlannerConfig(step=0.04, sensing_radius=0.12,
+                                   escape=TrapEscapePolicy(mode="near-obstacle")))
+    assert res.status == "success"
+    assert sum(len(s.graph.escape_log) for s in res.segments) > 1000
+    gaps = [np.linalg.norm(x[:2] - x[2:]) for x in res.full_trajectory]
+    assert 0.03 - 1e-12 <= min(gaps) and max(gaps) <= 0.13 + 1e-12
+
+
 # -- the batched escape pieces against the per-vertex loops they replaced ----
 
 def _near_top_loop(g, pool):
@@ -139,10 +154,30 @@ def _in_escape_set_loop(g, pool, env, moves_of):
     pot = lp.PotentialField(target=g.target)
     for x in _near_top_loop(g, pool):
         p_x = g.potential_of(x)
-        for q in moves_of(x):
-            if pot.value(q) < p_x and candidate_open(g, q, env):
+        for q, _ in moves_of(x):
+            if pot.value(q) < p_x and candidate_open(g, q, lattice_key(q, g), env):
                 return True
     return False
+
+
+def _restricted_search_scan(g, pool, done, moves_of, candidates_of, env, cfg):
+    """The search the heap replaced: scan the whole pool for its lowest
+    vertex not yet done, and test every near-top move after every step."""
+    added = []
+    escaped = _in_escape_set_loop(g, pool, env, moves_of)
+    while not escaped:
+        frontier = [v for v in pool if v not in done]
+        if not frontier:
+            return added, False, True
+        vid = min(frontier, key=lambda v: (g.potential_of(v), v))
+        new_ids = insert_candidates(g, vid, candidates_of(vid), env, cfg)
+        done.add(vid)
+        pool.extend(new_ids)
+        added.extend(new_ids)
+        if g.target_id is not None:
+            break
+        escaped = _in_escape_set_loop(g, pool, env, moves_of)
+    return added, escaped, False
 
 
 def _shape_matches_loop(g, vid, ref, pairs, dim):
@@ -189,23 +224,75 @@ def _ascending_pools(g, rng):
     return [p for p in pools if p]
 
 
+def test_restricted_search_equals_pool_scan(monkeypatch):
+    """Both escape modes grow the same trees and logs with the frontier heap
+    and the closed-vertex skip as with the full pool scan."""
+    runs = []
+    for k, step, mode in ((2, 0.04, "fixed-shape"), (3, 0.06, "fixed-shape"),
+                          (2, 0.08, "near-obstacle")):
+        truth, start, target = make_deadend(k)
+        runs.append(lambda truth=truth, start=start, target=target, step=step, mode=mode:
+                    [s.graph for s in lp.plan(truth, start, target, lp.PlannerConfig(
+                        step=step, sensing_radius=0.12,
+                        escape=TrapEscapePolicy(mode=mode))).segments])
+    env = lp.KnownEnvironment.initial(_pocket_world(), 0.1)
+    runs.append(lambda: [generate_graph([0.4, 0.5], [0.9, 0.5], env, GenConfig(step=0.03),
+                                        escape=TrapEscapePolicy(mode="near-obstacle"))])
+
+    def outputs():
+        return [[(g.dump(), repr(g.escape_log), g.trap_events) for g in run()]
+                for run in runs]
+
+    got = outputs()
+    monkeypatch.setattr(trap_escape, "_restricted_search", _restricted_search_scan)
+    assert got == outputs()
+    assert all(any(log != "[]" for _, log, _ in trees) for trees in got)
+
+
 def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
+    """The escape-set test equals the loop over every near-top move, also
+    when it skips the vertices an earlier call found closed: on a fixed tree
+    and environment, a vertex is closed whatever the pool."""
     rng = np.random.default_rng(7)
-    compared = escaping = 0
+    compared = escaping = skipped = 0
     for g, env, k in grown_trees:
         move_sets = [lambda v, g=g: axis_candidates(g, v)]
         if k > 1:
             comps = trap_escape._components(k, trap_escape._all_pairs(k))
             move_sets.append(lambda v, g=g, comps=comps:
                              trap_escape._group_moves(g, v, comps, 2))
+        closed_sets = [set() for _ in move_sets]
         for pool in _ascending_pools(g, rng):
             assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
-            for moves in move_sets:
-                got = trap_escape._in_escape_set(g, pool, env, moves)
+            for moves, closed in zip(move_sets, closed_sets):
+                skipped += len(closed.intersection(_near_top_loop(g, pool)))
+                got = trap_escape._in_escape_set(g, pool, env, moves, closed)
                 assert got == _in_escape_set_loop(g, pool, env, moves)
+                assert got == trap_escape._in_escape_set(g, pool, env, moves, set())
                 compared += 1
                 escaping += got
-    assert compared > 100 and 0 < escaping < compared
+            for moves, closed in zip(move_sets, closed_sets):
+                for v in closed:
+                    assert not _in_escape_set_loop(g, [v], env, moves)
+    assert compared > 100 and 0 < escaping < compared and skipped > 0
+
+
+def test_parent_keys_equal_rounded_keys_on_escape_moves(grown_trees):
+    """Axis and group moves carry their parent's key +-1 on each moved axis:
+    the key rounded from the move's coordinates."""
+    checked = 0
+    for g, _, k in grown_trees:
+        comps = trap_escape._components(k, trap_escape._all_pairs(k))
+        singles = [[r] for r in range(k)]
+        for v in range(0, g.count, 7):
+            if g.keys[v] is None:
+                continue
+            moves = (axis_candidates(g, v) + trap_escape._group_moves(g, v, comps, 2)
+                     + trap_escape._group_moves(g, v, singles, 2))
+            for q, key in moves:
+                assert key == lattice_key(q, g)
+                checked += 1
+    assert checked > 1000
 
 
 def _hand_tree(points, potentials, step=0.05):
