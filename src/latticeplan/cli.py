@@ -4,8 +4,9 @@ Subcommands: plan (run the replanning loop), region (build the bounded
 search region and check it contains the planned trajectory), batch (plan
 several scenarios and aggregate metrics), validate (parse-check only).
 
-Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted,
-4 scenario parse/validation failure, 5 internal error.
+Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted
+(vertex budget or memory), 4 scenario parse/validation failure, 5 internal
+error.
 """
 
 from __future__ import annotations
@@ -88,8 +89,15 @@ def run_region(args) -> int:
     if code != EXIT_OK:
         print(f"status: {result.status}")
         return code
+    pitch = "grid_step" if sc.grid_step is not None else "step"
+    dx = getattr(sc, pitch)
+    # The region lattice is anchored at the start, so the target must sit on
+    # it (within the quarter pitch `Lattice.node_at` allows).
+    cells = (sc.target - sc.start) / dx
+    if np.max(np.abs(cells - np.rint(cells))) > 0.25:
+        raise ScenarioError(f"target - start is not a whole number of region "
+                            f"pitches ({pitch} {dx:g})")
     full = KnownEnvironment.initial(truth, sc.sensing_radius).fully_revealed()
-    dx = sc.grid_step if sc.grid_step is not None else sc.step
     lat = fpe.Lattice.build(full, sc.start, dx, sc.target)
     region = fpe.build_region(sc.start, sc.target, lat, beta=sc.beta)
     samples = result.full_trajectory
@@ -187,6 +195,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
+    except MemoryError as exc:
+        print(f"resource limit: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (PlanningError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

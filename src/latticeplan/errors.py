@@ -9,10 +9,6 @@ class ResourceLimitError(PlanningError):
     """A configured vertex or iteration budget was exceeded."""
 
 
-class LatticeConsistencyError(PlanningError):
-    """A configuration is too far from any lattice point to key reliably."""
-
-
 class ModelViolationError(PlanningError):
     """The robot was discovered inside an obstacle while moving."""
 

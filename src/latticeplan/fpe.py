@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import CflViolationError, RegionError
-from .geometry import PotentialField, as_config, segments_hit_boxes
+from .geometry import as_config, segments_hit_boxes
 
 _RHO_FLOOR = 1e-300  # guards log() only; masses themselves are never clipped
 
@@ -141,39 +141,30 @@ class DensityField:
         return DensityField(rho=np.full(lat.size, 1.0 / lat.size), beta=beta)
 
 
-@dataclass(eq=False)
-class ProjectionWeights:
-    """0/1 weight per lattice edge; gradient mode keeps only steepest-descent
-    edges, diffusion mode keeps all of them."""
-
-    d: np.ndarray  # (E,)
+def diffusion_weights(lat: Lattice) -> np.ndarray:
+    """Weight one on every lattice edge."""
+    return np.ones(lat.edges.shape[0])
 
 
-def diffusion_weights(lat: Lattice) -> ProjectionWeights:
-    return ProjectionWeights(d=np.ones(lat.edges.shape[0]))
+def gradient_weights(lat: Lattice) -> np.ndarray:
+    """0/1 weight per lattice edge: for each node, mark the edge(s) toward the
+    strictly lower-potential neighbor of largest potential drop; exact ties
+    all carry weight one.
 
-
-def gradient_weights(lat: Lattice, pot: Optional[PotentialField] = None) -> ProjectionWeights:
-    """For each node, mark the edge(s) toward the neighbor maximizing the inner
-    product of the descent step with the analytic potential gradient, among
-    strictly lower-potential neighbors; exact ties all carry weight one."""
+    The potential p is the distance to the target t.  A step of sign s along
+    axis i gives |b - t|^2 = |a - t|^2 - 2 s dx (a_i - t_i) + dx^2, so the
+    largest drop p[a] - p[b] is the step of largest inner product with the
+    gradient of p at a."""
     e = lat.edges.shape[0]
     # Every edge in both orientations, as a step from node a to neighbor b.
     a = np.concatenate([lat.edges[:, 0], lat.edges[:, 1]])
     b = np.concatenate([lat.edges[:, 1], lat.edges[:, 0]])
     lower = lat.p[b] < lat.p[a]
-    if pot is None:
-        vals = lat.p[a] - lat.p[b]
-    else:
-        d = lat.coords - pot.target
-        norm = np.linalg.norm(d, axis=1)[:, None]
-        grad = np.divide(d, norm, out=np.zeros_like(d), where=norm > 0.0)
-        vals = np.sum((lat.coords[a] - lat.coords[b]) * grad[a], axis=1)
-    vals = np.where(lower, vals, -np.inf)
+    vals = np.where(lower, lat.p[a] - lat.p[b], -np.inf)
     best = np.full(lat.size, -np.inf)
     np.maximum.at(best, a, vals)
     mark = lower & (vals >= best[a] - 1e-12)
-    return ProjectionWeights(d=(mark[:e] | mark[e:]).astype(float))
+    return (mark[:e] | mark[e:]).astype(float)
 
 
 def _f_vector(f: DensityField, lat: Lattice) -> np.ndarray:
@@ -198,12 +189,12 @@ class _Upwind:
     of the largest node outflow.  They depend on the density only through the
     entropy term, so at beta = 0 one instance serves a whole evolution."""
 
-    def __init__(self, f: DensityField, lat: Lattice, w: ProjectionWeights):
+    def __init__(self, f: DensityField, lat: Lattice, w: np.ndarray):
         self.lat, (self.ej, self.ek) = lat, lat.edges.T.copy()
         F = _f_vector(f, lat)
         dF = F[self.ej] - F[self.ek]
-        self.pos = np.maximum(dF, 0.0) * w.d   # coefficient of flow j -> k
-        self.neg = np.maximum(-dF, 0.0) * w.d  # coefficient of flow k -> j
+        self.pos = np.maximum(dF, 0.0) * w   # coefficient of flow j -> k
+        self.neg = np.maximum(-dF, 0.0) * w  # coefficient of flow k -> j
         out_coef = self._per_node(self.ej, self.pos) + self._per_node(self.ek, self.neg)
         self.b1 = np.inf if out_coef.max() <= 0.0 else 1.0 / out_coef.max()
 
@@ -239,7 +230,7 @@ class _Upwind:
         return DensityField(rho=rho, beta=f.beta)
 
 
-def cfl_dt(f: DensityField, lat: Lattice, w: ProjectionWeights,
+def cfl_dt(f: DensityField, lat: Lattice, w: np.ndarray,
            safety: float = 0.9) -> float:
     """Largest stable explicit step (scaled by the safety factor), capped at
     dx^2 when both stability bounds are vacuous."""
@@ -247,7 +238,7 @@ def cfl_dt(f: DensityField, lat: Lattice, w: ProjectionWeights,
     return up.dt(f.rho, *up.flows(f.rho), safety)
 
 
-def fpe_step(f: DensityField, lat: Lattice, w: ProjectionWeights,
+def fpe_step(f: DensityField, lat: Lattice, w: np.ndarray,
              dt: float) -> DensityField:
     """One explicit Euler step of the upwind scheme; conserves mass edge-wise."""
     up = _Upwind(f, lat, w)
@@ -264,19 +255,16 @@ class EvolveResult:
     max_energy_increase: float
 
 
-def evolve_to_steady(f: DensityField, lat: Lattice, w: ProjectionWeights,
+def evolve_to_steady(f: DensityField, lat: Lattice, w: np.ndarray,
                      tol: float = 1e-10, max_iters: int = 10 ** 6,
-                     safety: float = 0.9,
-                     touched_threshold: Optional[float] = None,
-                     touched: Optional[Set[int]] = None) -> EvolveResult:
+                     safety: float = 0.9) -> EvolveResult:
     """Iterate explicit steps with adaptive dt until the time derivative
     drops below tol in max norm.
 
     The step starts at the CFL bound and is halved whenever a trial step
     would raise the free energy (the explicit scheme turns stiff near the
     steady state when the entropy term dominates); it recovers by doubling
-    after a run of accepted steps.  When `touched` is given, nodes whose
-    derivative is ever above `touched_threshold` are collected into it.
+    after a run of accepted steps.
     """
     mass_err = 0.0
     energy_inc = 0.0
@@ -296,11 +284,7 @@ def evolve_to_steady(f: DensityField, lat: Lattice, w: ProjectionWeights,
             shrink *= 0.5
             streak = 0
             continue  # retry the step at a gentler pace
-        d = nxt.rho - f.rho
-        if touched is not None:
-            gain = np.nonzero(d / dt > touched_threshold)[0]
-            touched.update(int(i) for i in gain)
-        residual = float(np.max(np.abs(d))) / dt
+        residual = float(np.max(np.abs(nxt.rho - f.rho))) / dt
         mass_err = max(mass_err, abs(float(nxt.rho.sum()) - 1.0))
         energy_inc = max(energy_inc, fe_next - fe)
         fe = fe_next
@@ -386,14 +370,12 @@ def contains_path(region: Region, trajectory: Sequence) -> bool:
     return all(region.contains(x) for x in trajectory)
 
 
-def gradient_region(start_node: int, lat: Lattice,
-                    pot: Optional[PotentialField] = None) -> Set[int]:
+def gradient_region(start_node: int, lat: Lattice) -> Set[int]:
     """Descent sweep: the nodes reachable from the start node over the edges
     that `gradient_weights` marks, each followed from higher to lower
     potential.  These are exactly the nodes whose density ever increases
     when a unit mass at the start evolves at beta = 0 under those weights."""
-    w = gradient_weights(lat, pot)
-    ej, ek = lat.edges[w.d > 0.0].T
+    ej, ek = lat.edges[gradient_weights(lat) > 0.0].T
     downhill = lat.p[ej] > lat.p[ek]
     src = np.where(downhill, ej, ek)
     dst = np.where(downhill, ek, ej)
@@ -466,7 +448,6 @@ def build_region(start, target, lat: Lattice, beta: Optional[float] = None
             "region exists at this pitch")
     if beta is None:
         beta = float(lat.p.max() - lat.p.min()) / 10.0 or 1.0
-    pot = PotentialField(target=as_config(target))
 
     # Within a component the Gibbs density does not depend on the initial
     # density, so one closed form serves every diffusion round.
@@ -475,7 +456,7 @@ def build_region(start, target, lat: Lattice, beta: Optional[float] = None
     region: Set[int] = set()
     x_i = start_node
     for _ in range(lat.size + 1):
-        region |= gradient_region(x_i, lat, pot)
+        region |= gradient_region(x_i, lat)
         if target_node in region:
             break
         added, nxt = diffusion_region(region, lat, beta, steady=steady)

@@ -1,4 +1,4 @@
-"""Configuration-space geometry: distances, the potential and feasibility tests.
+"""Configuration-space geometry: distances and feasibility tests.
 
 A configuration is a flat float array of length n.  For k robots in a
 d-dimensional workspace n = k * d and the coordinates are the stacked
@@ -34,24 +34,6 @@ def distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(np.linalg.norm(a - b))
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialField:
-    """Convex potential with unique global minimum at the target: ||x - target||."""
-
-    target: np.ndarray
-
-    def value(self, x) -> float:
-        return distance(x, self.target)
-
-    def gradient(self, x) -> np.ndarray:
-        """Analytic gradient; zero vector at the target itself."""
-        d = as_config(x) - self.target
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            return np.zeros_like(d)
-        return d / n
 
 
 @dataclass(frozen=True, eq=False)

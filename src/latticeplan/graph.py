@@ -121,12 +121,6 @@ class SearchGraph:
             heapq.heappop(heap)
         return heap[0][1] if heap else None
 
-    def edges(self):
-        for vid in range(self.count):
-            a = self.ancestor[vid]
-            if a is not None:
-                yield (a, vid)
-
     def dump(self) -> str:
         """One vertex per line: id ancestor_id potential coord..."""
         lines = []
@@ -239,5 +233,5 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
                 if escape.mode == "near-obstacle":
                     trap_escape.escape_near_obstacle(g, vid, env, cfg)
                 else:
-                    trap_escape.escape_fixed_shape(g, vid, env, cfg, escape)
+                    trap_escape.escape_fixed_shape(g, vid, env, cfg)
     return g

@@ -1,14 +1,12 @@
 """Path extraction from a generated tree.
 
-Back-tracing ancestor links is the primary extractor; BFS (unit weights)
-and Dijkstra (Euclidean weights) are kept as independent cross-checks —
-on a tree all three must return the same unique root-to-target chain.
+A tree holds exactly one root-to-target chain, so following the ancestor
+links back from the target finds it.  The tests keep BFS and Dijkstra
+searches as cross-checks that return the same chain.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import List
 
@@ -51,69 +49,4 @@ def backtrace(g: SearchGraph) -> GraphPath:
     chain.reverse()
     if chain[0] != 0:
         raise ValueError("target vertex does not trace back to the root")
-    return _make_path(g, chain)
-
-
-def _adjacency(g: SearchGraph) -> List[List[int]]:
-    adj: List[List[int]] = [[] for _ in range(g.count)]
-    for a, b in g.edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def bfs_path(g: SearchGraph) -> GraphPath:
-    """Minimum-hop path under unit edge weights."""
-    target = _require_target(g)
-    adj = _adjacency(g)
-    parent = {0: None}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        if v == target:
-            break
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    if target not in parent:
-        raise ValueError("target vertex unreachable from the root")
-    chain = []
-    v: int | None = target
-    while v is not None:
-        chain.append(v)
-        v = parent[v]
-    chain.reverse()
-    return _make_path(g, chain)
-
-
-def dijkstra_path(g: SearchGraph) -> GraphPath:
-    """Minimum Euclidean-length path with edge weights ||v_i - v_j||."""
-    target = _require_target(g)
-    adj = _adjacency(g)
-    dist = {0: 0.0}
-    parent = {0: None}
-    heap = [(0.0, 0)]
-    settled = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == target:
-            break
-        for w in adj[v]:
-            nd = d + distance(g.coords[v], g.coords[w])
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                parent[w] = v
-                heapq.heappush(heap, (nd, w))
-    if target not in parent:
-        raise ValueError("target vertex unreachable from the root")
-    chain = []
-    v: int | None = target
-    while v is not None:
-        chain.append(v)
-        v = parent[v]
-    chain.reverse()
     return _make_path(g, chain)

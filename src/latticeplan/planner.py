@@ -25,7 +25,6 @@ class PlannerConfig:
     stop_fraction: float = 0.5
     connect_radius: Optional[float] = None
     max_vertices: int = 500_000
-    max_segments: Optional[int] = None
     escape: TrapEscapePolicy = field(default_factory=TrapEscapePolicy)
 
     def __post_init__(self):
@@ -206,9 +205,7 @@ def plan(truth: GroundTruth, start, target, cfg: PlannerConfig) -> PlanResult:
         raise ValueError("start configuration is infeasible under known constraints")
 
     gencfg = cfg.gen_config()
-    cap = cfg.max_segments
-    if cap is None:
-        cap = max(4 * lattice_capacity(truth, cfg.step, start.shape[0]), 4)
+    cap = max(4 * lattice_capacity(truth, cfg.step, start.shape[0]), 4)
 
     segments: List[PlanSegment] = []
     trees: List[SearchGraph] = []  # every tree grown, an exhausted last one included

@@ -109,9 +109,11 @@ def render_scene(known: KnownEnvironment, start, target,
             pos = lat.coords[i][:2]
             c.rect(pos - hw, pos + hw, _REGION, opacity=0.5)
     if graph is not None:
-        for a, b in graph.edges():
+        for vid, a in enumerate(graph.ancestor):
+            if a is None:
+                continue
             for pa, pb in zip(_robot_points(graph.coords[a], dim),
-                              _robot_points(graph.coords[b], dim)):
+                              _robot_points(graph.coords[vid], dim)):
                 c.line(pa, pb, _EDGE, 1.0)
     if path_coords is not None and len(path_coords) > 0:
         pts = [_robot_points(p, dim) for p in path_coords]

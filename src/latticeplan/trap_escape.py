@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from math import sqrt
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class TrapEscapePolicy:
     """Which escape strategy to run when expansion hits a local minimizer."""
 
     mode: str = "none"  # none | near-obstacle | fixed-shape
-    shape_constraints: Optional[List[Tuple[int, int]]] = None  # robot index pairs
 
     def __post_init__(self):
         if self.mode not in ("none", "near-obstacle", "fixed-shape"):
@@ -171,16 +170,17 @@ def _shape_matches(g: SearchGraph, ref: np.ndarray,
 
 
 def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
-                       cfg: GenConfig, policy: TrapEscapePolicy) -> List[int]:
+                       cfg: GenConfig) -> List[int]:
     """Formation-preserving escape: restrict candidates to rigid translations
-    of constraint-connected robot groups; relax constraints most-recent-first
-    when the restricted frontier dies out."""
+    of constraint-connected robot groups, every robot pair constrained at
+    first; relax the constraints, last pair first, when the restricted
+    frontier dies out."""
     dim = env.dim
     k = g.n // dim
     if k < 2:
         raise ValueError("fixed-shape escape requires a multi-robot configuration")
     ref = g.coords[trap]
-    active = list(policy.shape_constraints) if policy.shape_constraints else _all_pairs(k)
+    active = _all_pairs(k)
     original = list(active)
     added: List[int] = []
     relaxations = 0
@@ -195,7 +195,7 @@ def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
             break
         if not active:
             break  # fully relaxed and still stuck: unrestricted loop takes over
-        active.pop()  # remove the most recently added constraint
+        active.pop()
         relaxations += 1
     g.escape_log.append({"mode": "fixed-shape", "trap": trap,
                          "added": len(added), "escaped": escaped,

@@ -13,12 +13,13 @@ import pytest
 import latticeplan as lp
 from latticeplan import fpe, render
 from latticeplan.geometry import point_feasible
-from latticeplan.pathfind import backtrace, bfs_path, dijkstra_path
+from latticeplan.pathfind import backtrace
 from latticeplan.planner import (densify, lattice_capacity, metrics_text,
                                  trajectory_text)
 
 from conftest import (MAZE_STEP, containment_scenes, make_corridor,
                       make_deadend, make_maze, make_sealed)
+from search_oracles import bfs_path, dijkstra_path
 
 
 # -- 1. completeness on unknown mazes ------------------------------------
@@ -171,8 +172,11 @@ def test_oversized_step_triggers_cfl_error():
 # -- 8. bounded-region containment ---------------------------------------
 
 def test_region_contains_planner_trajectory_5_of_5():
+    """The trajectory and every tree vertex the planner expanded (the part of
+    the lattice it explored) lie inside the region."""
     step = 0.05
     failed = []
+    expanded = 0
     for name, prims, start, target in containment_scenes():
         truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims)
         cfg = lp.PlannerConfig(step=step, sensing_radius=0.12)
@@ -180,9 +184,14 @@ def test_region_contains_planner_trajectory_5_of_5():
         env = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
         lat = fpe.Lattice.build(env, start, step, target)
         region = fpe.build_region(start, target, lat)
-        if res.status != "success" or not fpe.contains_path(region, res.full_trajectory):
+        explored = [g.coords[v] for g in (s.graph for s in res.segments)
+                    for v in range(g.count) if g.is_expanded(v)]
+        expanded += len(explored)
+        if (res.status != "success" or not fpe.contains_path(region, res.full_trajectory)
+                or not fpe.contains_path(region, explored)):
             failed.append(name)
     assert not failed, f"containment failed on: {failed}"
+    assert expanded > 100
 
 
 # -- 9. trap-escape vertex reduction -------------------------------------

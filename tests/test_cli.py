@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from latticeplan import fpe
 from latticeplan.cli import main
 
 OPEN_SCENARIO = """\
@@ -143,6 +144,29 @@ def test_region_rejects_two_robots_in_2d(tmp_path, capsys):
     assert main(["validate", "--scenario", str(p)]) == 0
     assert main(["region", "--scenario", str(p)]) == 4
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,pitch", [
+    ([], "step 0.03"),
+    (["--override", "step=0.05", "--override", "grid_step=0.03"], "grid_step 0.03")])
+def test_region_target_off_the_region_lattice_is_scenario_error(
+        tmp_path, capsys, overrides, pitch):
+    # 0.8 is not a whole number of 0.03 pitches.
+    p = tmp_path / "off.scn"
+    p.write_text(OPEN_SCENARIO.replace("0.35", "0.5").replace("step 0.05", "step 0.03"))
+    assert main(["region", "--scenario", str(p)] + overrides) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and f"({pitch})" in err
+
+
+def test_out_of_memory_is_resource_limit(scn, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(fpe.Lattice, "build", exhausted)
+    assert main(["region", "--scenario", str(scn)]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource limit: out of memory: Unable to allocate 7.28 TiB\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -12,7 +12,7 @@ import pytest
 import latticeplan as lp
 from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
-from latticeplan.geometry import point_feasible, segment_feasible
+from latticeplan.geometry import distance, point_feasible, segment_feasible
 
 from conftest import containment_scenes
 
@@ -110,9 +110,11 @@ def test_beta_zero_support_two_basins():
     assert support == {0, 4}
 
 
-def _evolve_by_public_steps(f, lat, w, tol, safety=0.9):
+def _evolve_by_public_steps(f, lat, w, tol, safety=0.9, touched=None):
     """evolve_to_steady's loop with a fresh `cfl_dt` and `fpe_step` at every
-    trial step: the solver before it kept the beta = 0 coefficients."""
+    trial step: the solver before it kept the beta = 0 coefficients.  When
+    `touched` is given, every node whose density ever rises faster than
+    1e-14 per unit time joins it."""
     fe, shrink, streak = fpe.free_energy(f, lat), 1.0, 0
     for it in itertools.count(1):
         dt = shrink * fpe.cfl_dt(f, lat, w, safety=safety)
@@ -121,7 +123,10 @@ def _evolve_by_public_steps(f, lat, w, tol, safety=0.9):
         if fe_next > fe + 1e-15 and shrink > 1e-9:
             shrink, streak = shrink * 0.5, 0
             continue
-        residual = float(np.max(np.abs(nxt.rho - f.rho))) / dt
+        d = nxt.rho - f.rho
+        if touched is not None:
+            touched.update(np.flatnonzero(d / dt > 1e-14).tolist())
+        residual = float(np.max(np.abs(d))) / dt
         fe, f, streak = fe_next, nxt, streak + 1
         if shrink < 1.0 and streak >= 50:
             shrink, streak = min(1.0, shrink * 2.0), 0
@@ -152,14 +157,14 @@ def test_evolution_equals_fresh_public_steps():
 def test_gradient_weights_pick_steepest_axis():
     env = _env()
     lat = fpe.Lattice.build(env, [0.0, 0.0], 0.1, [0.9, 0.2])
-    w = fpe.gradient_weights(lat, lp.PotentialField(target=np.array([0.9, 0.2])))
+    w = fpe.gradient_weights(lat)
     # At (0.1, 0.2) the gradient points along -x only: the +x edge must carry
     # weight 1 and the downhill y edge weight 0.
     j = lat.node_at([0.1, 0.2])
     k = lat.node_at([0.2, 0.2])
     e = [i for i, (a, b) in enumerate(lat.edges)
          if {int(a), int(b)} == {j, k}][0]
-    assert w.d[e] == 1.0
+    assert w[e] == 1.0
 
 
 def test_lattice_rejects_high_dimension():
@@ -178,8 +183,7 @@ def test_lattice_excludes_obstacle_interiors():
 def test_gradient_region_descends_to_target():
     env = _env()
     lat = fpe.Lattice.build(env, [0.1, 0.5], 0.05, [0.9, 0.5])
-    nodes = fpe.gradient_region(lat.node_at([0.1, 0.5]), lat,
-                                lp.PotentialField(target=np.array([0.9, 0.5])))
+    nodes = fpe.gradient_region(lat.node_at([0.1, 0.5]), lat)
     assert lat.node_at([0.1, 0.5]) in nodes
     assert lat.node_at([0.9, 0.5]) in nodes
 
@@ -211,8 +215,7 @@ def test_diffusion_layer_potentials_increase():
              lp.ObstaclePrimitive.box([0.33, 0.58], [0.52, 0.63], known=True)]
     env = _env(walls)
     lat = fpe.Lattice.build(env, [0.1, 0.4], 0.05, [0.9, 0.4])
-    pot = lp.PotentialField(target=np.array([0.9, 0.4]))
-    prev = fpe.gradient_region(lat.node_at([0.1, 0.4]), lat, pot)
+    prev = fpe.gradient_region(lat.node_at([0.1, 0.4]), lat)
     beta = float(lat.p.max() - lat.p.min()) / 10.0
     added, nxt = fpe.diffusion_region(prev, lat, beta)
     assert added, "the trapped descent region must grow diffusion layers"
@@ -237,19 +240,20 @@ def test_region_dump_format():
 
 # -- closed forms against the solver ---------------------------------------
 
-def _solver_sweep(start_node, lat, pot):
+def _solver_sweep(start_node, lat):
     """The descent sweep as the solver computes it: evolve a unit mass from
     the start node at beta = 0 under the descent weights and collect every
     node whose density ever strictly increases."""
     touched = {start_node}
-    fpe.evolve_to_steady(fpe.DensityField.delta(lat, start_node), lat,
-                         fpe.gradient_weights(lat, pot), tol=1e-12,
-                         touched_threshold=1e-14, touched=touched)
+    _evolve_by_public_steps(fpe.DensityField.delta(lat, start_node), lat,
+                            fpe.gradient_weights(lat), 1e-12, touched=touched)
     return touched
 
 
-def _loop_gradient_weights(lat, pot=None):
-    """Node-by-node descent weights: the slow path gradient_weights replaces."""
+def _loop_gradient_weights(lat, target):
+    """Node-by-node descent weights ranked by the inner product of each
+    lower-potential step with the analytic gradient (x - target) / |x - target|
+    of the distance potential."""
     d = np.zeros(lat.edges.shape[0])
     edge_index = {}
     for e, (j, k) in enumerate(lat.edges.tolist()):
@@ -258,10 +262,9 @@ def _loop_gradient_weights(lat, pot=None):
         lower = [k for k in lat.neighbors[j] if lat.p[k] < lat.p[j]]
         if not lower:
             continue
-        grad = None if pot is None else pot.gradient(lat.coords[j])
-        vals = [float(lat.p[j] - lat.p[k]) if grad is None
-                else float(np.dot(lat.coords[j] - lat.coords[k], grad))
-                for k in lower]
+        grad = lat.coords[j] - np.asarray(target, dtype=float)
+        grad = grad / np.linalg.norm(grad)  # lower neighbours exist: not the target
+        vals = [float(np.dot(lat.coords[j] - lat.coords[k], grad)) for k in lower]
         m = max(vals)
         for k, v in zip(lower, vals):
             if v >= m - 1e-12:
@@ -279,46 +282,40 @@ def _random_world(seed, boxes=4):
                                               np.clip(c + h, 0, 1), known=True))
     target = rng.uniform(0.1, 0.9, 2)
     lat = fpe.Lattice.build(_env(prims), rng.uniform(0.0, 0.1, 2), 0.1, target)
-    return rng, lat, lp.PotentialField(target=target)
+    return rng, lat, target
 
 
 def test_gradient_region_equals_solver_on_containment_scenes():
     for name, prims, start, target in containment_scenes():
         lat = fpe.Lattice.build(_env(prims), start, 0.05, target)
-        pot = lp.PotentialField(target=np.asarray(target, dtype=float))
         s = lat.node_at(start)
-        assert fpe.gradient_region(s, lat, pot) == _solver_sweep(s, lat, pot), name
+        assert fpe.gradient_region(s, lat) == _solver_sweep(s, lat), name
 
 
 def test_gradient_region_equals_solver_on_random_worlds():
     for seed in range(12):
-        rng, lat, pot = _random_world(seed)
+        rng, lat, _ = _random_world(seed)
         for s in rng.choice(lat.size, 3, replace=False).tolist():
-            assert fpe.gradient_region(s, lat, pot) == \
-                _solver_sweep(s, lat, pot), f"seed {seed}, start {s}"
+            assert fpe.gradient_region(s, lat) == _solver_sweep(s, lat), \
+                f"seed {seed}, start {s}"
 
 
 def test_gradient_weights_equal_node_loop():
     lats = []
     for name, prims, start, target in containment_scenes():
-        lats.append((fpe.Lattice.build(_env(prims), start, 0.05, target),
-                     lp.PotentialField(target=np.asarray(target, dtype=float))))
+        lats.append((fpe.Lattice.build(_env(prims), start, 0.05, target), target))
     for seed in range(12):
-        _, lat, pot = _random_world(seed)
-        lats.append((lat, pot))
+        _, lat, target = _random_world(seed)
+        lats.append((lat, target))
     lat, _, target, _ = _mirror_scene()
-    lats.append((lat, lp.PotentialField(target=np.asarray(target))))
+    lats.append((lat, target))
     truth = lp.GroundTruth.create(3, [0, 0, 0], [1, 1, 1], [
         lp.ObstaclePrimitive.box([0.45, 0, 0], [0.48, 0.55, 1], known=True)])
     env3 = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
-    target3 = np.array([0.85, 0.35, 0.35])
-    lats.append((fpe.Lattice.build(env3, [0.1, 0.35, 0.35], 0.125, target3),
-                 lp.PotentialField(target=target3)))
-    for lat, pot in lats:
-        assert np.array_equal(fpe.gradient_weights(lat, pot).d,
-                              _loop_gradient_weights(lat, pot))
-        assert np.array_equal(fpe.gradient_weights(lat).d,
-                              _loop_gradient_weights(lat))
+    target3 = [0.85, 0.35, 0.35]
+    lats.append((fpe.Lattice.build(env3, [0.1, 0.35, 0.35], 0.125, target3), target3))
+    for lat, target in lats:
+        assert np.array_equal(fpe.gradient_weights(lat), _loop_gradient_weights(lat, target))
 
 
 def _loop_lattice(env, anchor, dx):
@@ -366,8 +363,7 @@ def test_lattice_build_equals_point_and_edge_loop():
         assert list(lat.key_map.items()) == list(key_map.items())
         assert lat.edges.tolist() == edges
         assert lat.neighbors == neighbors
-        pot = lp.PotentialField(target=np.asarray(target, dtype=float))
-        assert lat.p.tolist() == [pot.value(x) for x in coords]
+        assert lat.p.tolist() == [distance(x, target) for x in coords]
 
 
 def test_gibbs_steady_equals_solver_on_random_worlds():

@@ -1,13 +1,12 @@
-"""Distance, potential and feasibility primitives."""
+"""Distance and feasibility primitives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import latticeplan as lp
-from latticeplan.geometry import (PotentialField, distance, point_feasible,
-                                  segment_feasible, segment_hits_box,
-                                  segments_hit_boxes)
+from latticeplan.geometry import (distance, point_feasible, segment_feasible,
+                                  segment_hits_box, segments_hit_boxes)
 
 
 def test_distance_3_4_5():
@@ -17,20 +16,6 @@ def test_distance_3_4_5():
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         distance([0.0, 0.0], [1.0, 2.0, 3.0])
-
-
-def test_potential_hand_value():
-    # sqrt(0.8^2 + 0.8^2) = sqrt(1.28)
-    field = PotentialField(target=np.array([0.9, 0.9]))
-    assert field.value([0.1, 0.1]) == pytest.approx(np.sqrt(1.28), abs=1e-12)
-    assert field.value([0.9, 0.9]) == 0.0
-
-
-def test_potential_gradient_unit_norm():
-    field = PotentialField(target=np.array([0.5, 0.5]))
-    g = field.gradient([0.9, 0.5])
-    assert np.allclose(g, [1.0, 0.0])
-    assert np.allclose(field.gradient([0.5, 0.5]), [0.0, 0.0])
 
 
 class TestOpenBoxSegments:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import latticeplan as lp
-from latticeplan.errors import LatticeConsistencyError, ResourceLimitError
+from latticeplan.errors import ResourceLimitError
 from latticeplan.geometry import as_config
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
+
+
+class LatticeConsistencyError(ValueError):
+    """A configuration is too far from any lattice point to key reliably."""
 
 
 def lattice_key(x, g: SearchGraph):

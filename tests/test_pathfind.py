@@ -5,7 +5,9 @@ import pytest
 
 import latticeplan as lp
 from latticeplan.graph import GenConfig, generate_graph
-from latticeplan.pathfind import backtrace, bfs_path, dijkstra_path
+from latticeplan.pathfind import backtrace
+
+from search_oracles import bfs_path, dijkstra_path
 
 
 def _graph(start, target, prims=(), step=0.04):

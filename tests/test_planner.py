@@ -15,6 +15,12 @@ def _wall_world():
     return lp.GroundTruth.create(2, [0, 0], [1, 1], [wall])
 
 
+def test_star_import_resolves_every_exported_name():
+    names = {}
+    exec("from latticeplan import *", names)
+    assert set(lp.__all__) <= set(names)
+
+
 def test_densify_keeps_vertices_exact():
     poly = [np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.1, 0.07])]
     samples = densify(poly, 0.03)

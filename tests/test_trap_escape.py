@@ -81,8 +81,7 @@ def test_fixed_shape_requires_multiple_robots():
     g = lp.SearchGraph(np.array([0.2, 0.5]), np.array([0.9, 0.5]), 0.03)
     g.insert(np.array([0.2, 0.5]), 0.7, None, (0, 0))
     with pytest.raises(ValueError):
-        lp.trap_escape.escape_fixed_shape(g, 0, env, GenConfig(step=0.03),
-                                          TrapEscapePolicy(mode="fixed-shape"))
+        lp.trap_escape.escape_fixed_shape(g, 0, env, GenConfig(step=0.03))
 
 
 def test_policy_rejects_unknown_mode():
@@ -151,11 +150,10 @@ def _near_top_loop(g, pool):
 def _in_escape_set_loop(g, pool, env, moves_of):
     if not pool:
         return False
-    pot = lp.PotentialField(target=g.target)
     for x in _near_top_loop(g, pool):
         p_x = g.potential_of(x)
         for q, _ in moves_of(x):
-            if pot.value(q) < p_x and candidate_open(g, q, lattice_key(q, g), env):
+            if lp.distance(q, g.target) < p_x and candidate_open(g, q, lattice_key(q, g), env):
                 return True
     return False
 
