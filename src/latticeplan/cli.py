@@ -5,8 +5,8 @@ search region and check it contains the planned trajectory), batch (plan
 several scenarios and aggregate metrics), validate (parse-check only).
 
 Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted
-(vertex budget or memory), 4 scenario parse/validation failure, 5 internal
-error.
+(vertex budget or memory), 4 scenario parse/validation failure or a robot
+stepping into a box it never sensed, 5 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fpe, render
 from .environment import KnownEnvironment, sense
-from .errors import PlanningError, ScenarioError
+from .errors import ModelViolationError, PlanningError, ScenarioError
 from .planner import PlanResult, metrics_text, plan, trajectory_text
 from .scenario import Scenario, parse_scenario
 
@@ -68,8 +68,7 @@ def run_plan(args) -> int:
         if args.svg and sc.dim == 2:
             known = KnownEnvironment.initial(truth, sc.sensing_radius)
             for i, seg in enumerate(result.segments):
-                for x in seg.motion.traversed:
-                    known = sense(known, x)
+                known = sense(known, np.concatenate(seg.motion.traversed))
                 (out / f"segment_{i:03d}.svg").write_text(
                     render.render_plan_segment(result, i, known))
     print(f"status: {result.status}")
@@ -194,6 +193,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_SCENARIO
     except FileNotFoundError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
+    except ModelViolationError as exc:
+        print(f"scenario error: {exc}; raise sensing_radius to at least the "
+              "motion pitch step/10", file=sys.stderr)
         return EXIT_SCENARIO
     except MemoryError as exc:
         print(f"resource limit: out of memory: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -101,6 +101,14 @@ class Lattice:
         if idx is None or float(np.max(np.abs(self.coords[idx] - x))) > 0.25 * self.dx:
             raise ValueError(f"configuration {x} is not a lattice node")
         return idx
+
+    @cached_property
+    def descent_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sources and ends of the edges `gradient_weights` marks, each
+        oriented from higher to lower potential."""
+        ej, ek = self.edges[gradient_weights(self) > 0.0].T
+        downhill = self.p[ej] > self.p[ek]
+        return np.where(downhill, ej, ek), np.where(downhill, ek, ej)
 
     def component_of(self, start: int) -> Set[int]:
         seen = {start}
@@ -375,10 +383,7 @@ def gradient_region(start_node: int, lat: Lattice) -> Set[int]:
     that `gradient_weights` marks, each followed from higher to lower
     potential.  These are exactly the nodes whose density ever increases
     when a unit mass at the start evolves at beta = 0 under those weights."""
-    ej, ek = lat.edges[gradient_weights(lat) > 0.0].T
-    downhill = lat.p[ej] > lat.p[ek]
-    src = np.where(downhill, ej, ek)
-    dst = np.where(downhill, ek, ej)
+    src, dst = lat.descent_edges
     reached = np.zeros(lat.size, dtype=bool)
     reached[start_node] = True
     while True:

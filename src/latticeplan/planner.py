@@ -65,25 +65,23 @@ class PlanResult:
     metrics: dict
 
 
-def densify(polyline: List[np.ndarray], step: float) -> List[np.ndarray]:
-    """Resample a polyline so consecutive points are at most `step` apart.
+def densify(polyline: List[np.ndarray], step: float) -> np.ndarray:
+    """Resample a polyline into (M, n) samples at most `step` apart.
 
     Original vertices are kept exactly (the last sample of each edge is the
     edge endpoint itself).
     """
-    samples = [polyline[0]]
+    rows = [polyline[0]]
     for a, b in zip(polyline, polyline[1:]):
         length = distance(a, b)
         if length == 0.0:
             continue
         m = max(int(np.ceil(length / step)), 1)
-        for s in range(1, m):
-            samples.append(a + (s / m) * (b - a))
-        samples.append(b)
-    return samples
+        rows += [a + (np.arange(1, m)[:, None] / m) * (b - a), b]
+    return np.vstack(rows)
 
 
-def _first_blocking_index(samples: List[np.ndarray], start: int,
+def _first_blocking_index(samples: np.ndarray, start: int,
                           known: KnownEnvironment) -> Optional[int]:
     """Smallest j >= start such that the motion past sample j is infeasible.
 
@@ -125,62 +123,71 @@ def _clearance_to(x: np.ndarray, rows: List[int], known: KnownEnvironment) -> fl
     return float(d.min())
 
 
+def _reveal_events(samples: np.ndarray, known: KnownEnvironment) -> List[int]:
+    """Sorted indices > 0 of the samples at which some box not yet revealed
+    first comes within the sensing radius of a robot.  Each block of 512
+    samples is tested only against the boxes within R of its bounding box,
+    which bounds the memory in cluttered worlds."""
+    truth, radius = known.truth, known.sensing_radius
+    unseen = np.ones(len(truth.primitives), dtype=bool)
+    unseen[sorted(known.revealed)] = False
+    events = set()
+    for s in range(0, len(samples), 512):
+        block = samples[s:s + 512]
+        flat = block.reshape(-1, known.dim)  # every robot position in the block
+        gap = np.maximum(np.maximum(truth.lo - flat.max(axis=0), flat.min(axis=0) - truth.hi), 0.0)
+        rows = np.flatnonzero(unseen & (np.sqrt(np.vecdot(gap, gap)) <= radius))
+        near = (box_distances(block.reshape(len(block), -1, known.dim), truth.lo[rows],
+                              truth.hi[rows]) <= radius).any(axis=1)  # (block, rows)
+        hit = near.any(axis=0)
+        events.update((s + near.argmax(axis=0)[hit]).tolist())
+        unseen[rows[hit]] = False
+    return sorted(events - {0})
+
+
 def move_along(path: GraphPath, known: KnownEnvironment,
                cfg: PlannerConfig) -> Tuple[MotionOutcome, KnownEnvironment]:
-    """Advance along the path polyline in motion-step increments, sensing at
-    each sample; on a newly revealed block, stop at the last sample before
-    the intersection whose clearance is at least stop_fraction * R."""
-    delta = cfg.motion_step
-    samples = densify(path.coords, delta)
+    """Advance along the path polyline in motion-step increments; on a newly
+    revealed block, stop at the last sample before the intersection whose
+    clearance is at least stop_fraction * R.  Sensing happens only at reveal
+    events; a box containing a sample is at distance 0 from it, so it is
+    known by then, and each stretch walked is checked at its end."""
+    samples = densify(path.coords, cfg.motion_step)
     if len(samples) < 2:
-        out = MotionOutcome(traversed=[samples[0]], status="exhausted",
-                            stop_point=samples[0],
-                            stop_clearance=distance_to_revealed(samples[0], known))
-        return out, known
+        x = samples[0]
+        return MotionOutcome([x], "exhausted", x, distance_to_revealed(x, known)), known
 
     known = sense(known, samples[0])
     i = 0
-    traversed = [samples[0]]
     end = len(samples) - 1
-    stop_at = end
-    blocked = False
-    blockers: List[int] = []  # rows of known.lo/hi; recomputed whenever known changes
-    need_check = True
-    while True:
-        if need_check:
-            need_check = False
-            jb = _first_blocking_index(samples, i, known)
-            if jb is None:
-                stop_at = end
-                blocked = False
-                blockers = []
-            else:
-                blocked = True
-                blockers = _blocking_rows(samples[jb], samples[jb + 1], known)
-                threshold = cfg.stop_fraction * known.sensing_radius
-                stop_at = i
-                # Clearance is measured to the boxes that cut the path:
-                # earlier walls may legally sit closer than the stop band.
-                for j in range(jb, i - 1, -1):
-                    if _clearance_to(samples[j], blockers, known) >= threshold:
-                        stop_at = j
-                        break
-        if i >= stop_at:
+    for event in _reveal_events(samples, known) + [end + 1]:  # end + 1: no more events
+        jb = _first_blocking_index(samples, i, known)
+        stop_at, blockers = end, []  # blockers: rows of known.lo/hi
+        if jb is not None:
+            blockers = _blocking_rows(samples[jb], samples[jb + 1], known)
+            threshold = cfg.stop_fraction * known.sensing_radius
+            stop_at = i
+            # Clearance is measured to the boxes that cut the path:
+            # earlier walls may legally sit closer than the stop band.
+            for j in range(jb, i - 1, -1):
+                if _clearance_to(samples[j], blockers, known) >= threshold:
+                    stop_at = j
+                    break
+        reach = min(event, stop_at)
+        if event <= stop_at:
+            known = sense(known, samples[event])
+        pos = samples[i + 1:reach + 1].reshape(-1, 1, known.dim)  # (robot positions, 1, dim)
+        if ((pos < known.bounds_lo).any() or (pos > known.bounds_hi).any()
+                or ((known.lo < pos) & (pos < known.hi)).all(axis=-1).any()):
+            raise ModelViolationError("robot discovered inside an obstacle while moving")
+        i = reach
+        if event > stop_at:
             break
-        i += 1
-        traversed.append(samples[i])
-        new_known = sense(known, samples[i])
-        if new_known is not known:
-            known = new_known
-            need_check = True
-        if not point_feasible(samples[i], known):
-            raise ModelViolationError(
-                "robot discovered inside an obstacle while moving")
 
-    status = "blocked" if blocked and i < end else "reached-target"
+    status = "blocked" if jb is not None and i < end else "reached-target"
     clearance = (_clearance_to(samples[i], blockers, known) if status == "blocked"
                  else distance_to_revealed(samples[i], known))
-    out = MotionOutcome(traversed=traversed, status=status,
+    out = MotionOutcome(traversed=list(samples[:i + 1]), status=status,
                         stop_point=samples[i], stop_clearance=clearance)
     return out, known
 

@@ -52,6 +52,18 @@ dmin 0.03
 dmax 0.13
 """
 
+# The sensing radius is below the motion pitch 0.02, so the robot steps into
+# the box before it is seen.
+UNSEEN_BOX_SCENARIO = """\
+dim 2
+workspace 0 0 1 1
+start 0.1 0.5
+target 0.9 0.5
+obstacle box 0.45 0.4 0.55 0.6
+sensing_radius 0.001
+step 0.2
+"""
+
 
 @pytest.fixture
 def scn(tmp_path):
@@ -219,3 +231,13 @@ def test_svg_outputs_are_deterministic(scn, tmp_path):
                      "--svg"]) == 0
         outs.append((out / "segment_000.svg").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["plan", "batch"])
+def test_stepping_into_an_unseen_box_is_scenario_error(tmp_path, capsys, command):
+    p = tmp_path / "unseen.scn"
+    p.write_text(UNSEEN_BOX_SCENARIO)
+    assert main([command, "--scenario", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("scenario error: ")
+    assert "sensing_radius" in err and "motion pitch step/10" in err
