@@ -15,7 +15,8 @@ kernels are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +35,25 @@ def distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(np.linalg.norm(a - b))
+
+
+def edge_lengths(points: np.ndarray) -> np.ndarray:
+    """Length of each edge of the polyline `points` (M, n), shaped (M - 1,).
+
+    `vecdot` sums the squares as the one-vector `np.linalg.norm` does, so each
+    length is bit-identical to `distance` of the edge's endpoints.
+    """
+    d = np.diff(points, axis=0)
+    return np.sqrt(np.vecdot(d, d))
+
+
+@lru_cache(maxsize=16)
+def robot_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of every robot pair i < j of k robots."""
+    pairs = np.triu_indices(k, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +193,17 @@ def _pair_distance_band_over_motion(pa, pb, qa, qb, dmin: float, dmax: float) ->
 
 def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[float],
                                link_step: float) -> bool:
-    """Full admission test for moving the stacked configuration from a to b.
+    """Full admission test for moving the stacked configuration from a to b:
+    per-robot segment tests plus `formation_motion_feasible`."""
+    return segment_feasible(a, b, env) and formation_motion_feasible(
+        a, b, env, dmin, dmax, link_step)
 
-    Combines per-robot segment tests with the pairwise distance band held
-    along the whole motion and robot-to-robot links sampled at `link_step`.
-    """
-    if not segment_feasible(a, b, env):
-        return False
+
+def formation_motion_feasible(a, b, env, dmin: Optional[float], dmax: Optional[float],
+                              link_step: float) -> bool:
+    """The formation terms of moving from a to b: the pairwise distance band
+    held along the whole motion and robot-to-robot links sampled at
+    `link_step`.  True without a band or with a single robot."""
     if dmin is None or dmax is None:
         return True
     pa = env.robot_positions(a)
@@ -195,7 +219,7 @@ def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[
     steps = max(int(np.ceil(distance(a, b) / link_step)), 1)
     t = np.arange(steps + 1)[:, None, None] / steps
     pos = pa + t * (pb - pa)  # (steps + 1, k, d)
-    i, j = np.triu_indices(k, 1)
+    i, j = robot_pairs(k)
     dim = env.dim
     return not np.any(segments_hit_boxes(pos[:, i].reshape(-1, dim), pos[:, j].reshape(-1, dim),
                                          env.lo, env.hi))

@@ -8,6 +8,19 @@ rounded from floats.  The unexpanded vertices sit in a heap of
 (potential, id), which gives the lowest potential first and the lowest id
 on ties.
 
+The main loop admits the 2n axis moves of its vertices in blocks.  A block
+is every vertex inserted since the last one; it is prepared when the loop
+pops the first vertex at or past the prepared range.  One numpy pass builds
+the moves of the whole block and tests the workspace bounds, the revealed
+box interiors and the moving robot's segment (the other robots do not move,
+and a zero-length segment crosses a box exactly when its point lies inside
+it), and computes every move's potential.  These depend only on the
+environment, which is fixed while a tree grows, so a vertex expanded later
+only looks its moves' keys up and runs the formation terms on the unvisited
+ones.  The trap escapes admit one vertex's moves at a time through
+`candidate_admissible`, which is also the oracle the blocks are tested
+against.
+
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
 """
@@ -22,13 +35,15 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import ResourceLimitError
-from .geometry import (as_config, distance, formation_segment_feasible,
-                       multi_robot_feasible, point_feasible)
+from .geometry import (as_config, distance, formation_motion_feasible,
+                       formation_segment_feasible, multi_robot_feasible, point_feasible,
+                       segments_hit_boxes)
 
 _TARGET_SNAP = 1e-12
 
 Key = Tuple[int, ...]
 Candidate = Tuple[np.ndarray, Key]  # a move's coordinates and lattice key
+Admitted = Tuple[np.ndarray, Key, float]  # ... plus its potential
 
 
 @dataclass
@@ -65,7 +80,7 @@ class SearchGraph:
         self.anchor = root.copy()
         self.target = target.copy()
         self.n = root.shape[0]
-        self.coords: List[np.ndarray] = []
+        self._xy = np.empty((64, self.n), dtype=float)
         self.ancestor: List[Optional[int]] = []
         self.keys: List[Optional[Key]] = []
         self.key_map: dict = {}
@@ -85,7 +100,8 @@ class SearchGraph:
         vid = self.count
         if vid == self._pot.shape[0]:
             self._pot = np.resize(self._pot, 2 * vid)
-        self.coords.append(coords)
+            self._xy = np.resize(self._xy, (2 * vid, self.n))
+        self._xy[vid] = coords
         self.ancestor.append(ancestor)
         self.keys.append(key)
         if key is not None:
@@ -97,6 +113,13 @@ class SearchGraph:
         return vid
 
     # -- views -----------------------------------------------------------
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Read-only (count, n) view of every vertex's coordinates, by id."""
+        view = self._xy[:self.count]
+        view.flags.writeable = False
+        return view
 
     def potential_of(self, vid: int) -> float:
         return float(self._pot[vid])
@@ -127,7 +150,7 @@ class SearchGraph:
         for vid in range(self.count):
             a = self.ancestor[vid]
             anc = str(a) if a is not None else "-"
-            coords = " ".join(f"{c:.12g}" for c in self.coords[vid])
+            coords = " ".join(f"{c:.12g}" for c in self._xy[vid])
             lines.append(f"{vid} {anc} {self._pot[vid]:.12g} {coords}")
         return "\n".join(lines) + "\n"
 
@@ -161,6 +184,80 @@ def axis_candidates(g: SearchGraph, vid: int) -> List[Candidate]:
     return out
 
 
+class AxisBlocks:
+    """Block-admission results for the axis moves of every vertex below
+    `prepared`, by vertex id: move 2a + s of a vertex steps axis a by +step
+    (s = 0) or -step (s = 1), as `axis_candidates` orders them.  `passed`
+    holds whether a move is in bounds, outside every revealed box and not
+    crossing one; `pot` holds its potential."""
+
+    def __init__(self, n: int, dim: int):
+        self.prepared = 0
+        self.passed = np.empty((64, 2 * n), dtype=bool)
+        self.pot = np.empty((64, 2 * n), dtype=float)
+        self._axes = np.arange(n)
+        self._moves = np.arange(2 * n)
+        self._movers = self._moves // (2 * dim)  # the robot each move moves
+
+    def prepare(self, g: SearchGraph, env: KnownEnvironment) -> None:
+        """Test the moves of the vertices [prepared, g.count) in one pass."""
+        first, last = self.prepared, g.count
+        if last > self.passed.shape[0]:
+            size = 1 << (last - 1).bit_length()
+            self.passed = np.resize(self.passed, (size, 2 * g.n))
+            self.pot = np.resize(self.pot, (size, 2 * g.n))
+        # The rows are zero-padded to a power of two, so the temporaries
+        # below come in few sizes: numpy keeps freed buffers under 1 kB in a
+        # cache per size, and blocks of every size filled it with about
+        # 0.3 MB more on sealed rooms.
+        b, n, dim = last - first, g.n, env.dim
+        v = np.zeros((1 << (b - 1).bit_length(), n))
+        v[:b] = g.coords[first:last]
+        rows, axes, moves, movers = len(v), self._axes, self._moves, self._movers
+        # The same floats as axis_candidates: v[axis] + sign * step.
+        q = np.repeat(v[:, None, :], 2 * n, axis=1)  # (rows, 2n, n)
+        q[:, moves[0::2], axes] = v + g.step
+        q[:, moves[1::2], axes] = v - g.step
+        pos = q.reshape(rows, 2 * n, -1, dim)  # robot positions
+        passed = ~((pos < env.bounds_lo) | (pos > env.bounds_hi)).any(axis=(2, 3))
+        p = pos[..., None, :]
+        passed &= ~((env.lo < p) & (p < env.hi)).all(axis=-1).any(axis=(2, 3))
+        # Only the moving robot's segment can cross a box the points miss.
+        start = v.reshape(rows, -1, dim)[:, movers]
+        end = pos[:, moves, movers]
+        passed &= ~segments_hit_boxes(start.reshape(-1, dim), end.reshape(-1, dim),
+                                      env.lo, env.hi).reshape(rows, 2 * n)
+        d = q - g.target
+        self.passed[first:last] = passed[:b]
+        self.pot[first:last] = np.sqrt(np.vecdot(d, d))[:b]  # bit-identical to distance()
+        self.prepared = last
+
+
+def block_admitted(g: SearchGraph, vid: int, blocks: AxisBlocks, env: KnownEnvironment,
+                   cfg: GenConfig) -> List[Admitted]:
+    """The axis moves of a prepared vertex that are admitted now: passed by
+    its block, unvisited and, for a formation, inside the band at the point
+    and over the motion with unblocked links."""
+    v, key = g._xy[vid], g.keys[vid]
+    dmin, dmax = env.truth.dmin, env.truth.dmax
+    band = dmin is not None and dmax is not None
+    out = []
+    for move, (ok, p) in enumerate(zip(blocks.passed[vid].tolist(), blocks.pot[vid].tolist())):
+        if not ok:
+            continue
+        axis, sign = move >> 1, 1 - 2 * (move & 1)
+        qkey = key[:axis] + (key[axis] + sign,) + key[axis + 1:]
+        if qkey in g.key_map:
+            continue
+        q = v.copy()
+        q[axis] += sign * g.step
+        if band and not (multi_robot_feasible(q, env, dmin, dmax) and formation_motion_feasible(
+                v, q, env, dmin, dmax, cfg.link_step)):
+            continue
+        out.append((q, qkey, p))
+    return out
+
+
 def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenConfig) -> bool:
     # The stored potential is the distance to the target.
     return g._pot[vid] <= cfg.connect_radius and formation_segment_feasible(
@@ -170,14 +267,19 @@ def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenCon
 def insert_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
                       env: KnownEnvironment, cfg: GenConfig) -> List[int]:
     """Admit, insert and target-link a batch of candidates from vertex vid."""
-    admitted = [(q, key) for q, key in candidates
-                if candidate_admissible(g, vid, q, key, env, cfg)]
+    return insert_admitted(g, vid, [(q, key, distance(q, g.target)) for q, key in candidates
+                                    if candidate_admissible(g, vid, q, key, env, cfg)], env, cfg)
+
+
+def insert_admitted(g: SearchGraph, vid: int, admitted: List[Admitted],
+                    env: KnownEnvironment, cfg: GenConfig) -> List[int]:
+    """Insert admitted moves from vertex vid and target-link the first new
+    vertex that can be."""
     if g.count + len(admitted) > cfg.max_vertices:
         raise ResourceLimitError(
             f"vertex budget {cfg.max_vertices} exceeded during graph generation")
     new_ids = []
-    for q, key in admitted:
-        p = distance(q, g.target)
+    for q, key, p in admitted:
         qid = g.insert(q, p, vid, key)
         if p < _TARGET_SNAP:
             # The candidate IS the target: treat the new vertex as the target.
@@ -186,7 +288,7 @@ def insert_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
         new_ids.append(qid)
     for qid in new_ids:
         if target_linkable(g, qid, env, cfg):
-            g.target_id = g.insert(g.target.copy(), 0.0, qid, None)
+            g.target_id = g.insert(g.target, 0.0, qid, None)
             break
     return new_ids
 
@@ -209,18 +311,21 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         g.target_id = root
         return g
     if target_linkable(g, root, env, cfg):
-        g.target_id = g.insert(g.target.copy(), 0.0, root, None)
+        g.target_id = g.insert(g.target, 0.0, root, None)
         return g
 
     from . import trap_escape  # deferred: trap_escape builds on this module
 
+    blocks = AxisBlocks(g.n, env.dim)
     used_traps: set = set()
     while g.target_id is None:
         vid = g.argmin_unexpanded()
         if vid is None:
             return g
+        if vid >= blocks.prepared:
+            blocks.prepare(g, env)
         base_pot = g.potential_of(vid)
-        new_ids = insert_candidates(g, vid, axis_candidates(g, vid), env, cfg)
+        new_ids = insert_admitted(g, vid, block_admitted(g, vid, blocks, env, cfg), env, cfg)
         g.mark_expanded(vid)
         if g.target_id is not None:
             break

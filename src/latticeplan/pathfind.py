@@ -12,16 +12,18 @@ from typing import List
 
 import numpy as np
 
-from .geometry import distance
+from .geometry import edge_lengths
 from .graph import SearchGraph
 
 
 @dataclass
 class GraphPath:
-    """Root-to-target vertex chain with its Euclidean length."""
+    """Root-to-target vertex chain with its edge lengths and their
+    left-to-right sum."""
 
     vertices: List[int]
     coords: List[np.ndarray]
+    edges: np.ndarray  # (hops,) Euclidean length of each edge
     length: float
     hops: int
 
@@ -33,10 +35,10 @@ def _require_target(g: SearchGraph) -> int:
 
 
 def _make_path(g: SearchGraph, chain: List[int]) -> GraphPath:
-    coords = [g.coords[v] for v in chain]
-    length = sum(distance(a, b) for a, b in zip(coords, coords[1:]))
-    return GraphPath(vertices=chain, coords=coords, length=length,
-                     hops=len(chain) - 1)
+    coords = g.coords[chain]
+    edges = edge_lengths(coords)
+    return GraphPath(vertices=chain, coords=list(coords), edges=edges,
+                     length=sum(edges.tolist()), hops=len(chain) - 1)
 
 
 def backtrace(g: SearchGraph) -> GraphPath:

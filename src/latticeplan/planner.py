@@ -11,8 +11,8 @@ import numpy as np
 
 from .environment import GroundTruth, KnownEnvironment, distance_to_revealed, sense
 from .errors import ModelViolationError, ResourceLimitError
-from .geometry import (as_config, box_distances, distance, point_feasible,
-                       segment_hits_box, segments_hit_boxes)
+from .geometry import (as_config, box_distances, distance, edge_lengths, point_feasible,
+                       robot_pairs, segment_hits_box, segments_hit_boxes)
 from .graph import GenConfig, SearchGraph, generate_graph
 from .pathfind import GraphPath, backtrace
 from .trap_escape import TrapEscapePolicy
@@ -65,15 +65,18 @@ class PlanResult:
     metrics: dict
 
 
-def densify(polyline: List[np.ndarray], step: float) -> np.ndarray:
+def densify(polyline: List[np.ndarray], step: float,
+            lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Resample a polyline into (M, n) samples at most `step` apart.
 
     Original vertices are kept exactly (the last sample of each edge is the
-    edge endpoint itself).
+    edge endpoint itself).  `lengths` are the polyline's `edge_lengths`,
+    computed here when not given.
     """
+    if lengths is None:
+        lengths = edge_lengths(np.asarray(polyline))
     rows = [polyline[0]]
-    for a, b in zip(polyline, polyline[1:]):
-        length = distance(a, b)
+    for a, b, length in zip(polyline, polyline[1:], lengths.tolist()):
         if length == 0.0:
             continue
         m = max(int(np.ceil(length / step)), 1)
@@ -94,7 +97,7 @@ def _first_blocking_index(samples: np.ndarray, start: int,
         return None
     dim = known.dim
     positions = remaining.reshape(remaining.shape[0], -1, dim)  # (samples, k, dim)
-    i, j = np.triu_indices(positions.shape[1], 1)
+    i, j = robot_pairs(positions.shape[1])
     starts = np.concatenate([positions[:-1], positions[1:, i]], axis=1)
     ends = np.concatenate([positions[1:], positions[1:, j]], axis=1)
     hit = segments_hit_boxes(starts.reshape(-1, dim), ends.reshape(-1, dim),
@@ -110,7 +113,7 @@ def _blocking_rows(a: np.ndarray, b: np.ndarray, known: KnownEnvironment) -> Lis
     infeasible (crossed per robot, or cutting a robot link at b)."""
     pa = known.robot_positions(a)
     pb = known.robot_positions(b)
-    i, j = np.triu_indices(len(pb), 1)
+    i, j = robot_pairs(len(pb))
     segments = list(zip(pa, pb)) + list(zip(pb[i], pb[j]))
     return [r for r, (lo, hi) in enumerate(zip(known.lo, known.hi))
             if any(segment_hits_box(s, e, lo, hi) for s, e in segments)]
@@ -152,7 +155,7 @@ def move_along(path: GraphPath, known: KnownEnvironment,
     clearance is at least stop_fraction * R.  Sensing happens only at reveal
     events; a box containing a sample is at distance 0 from it, so it is
     known by then, and each stretch walked is checked at its end."""
-    samples = densify(path.coords, cfg.motion_step)
+    samples = densify(path.coords, cfg.motion_step, path.edges)
     if len(samples) < 2:
         x = samples[0]
         return MotionOutcome([x], "exhausted", x, distance_to_revealed(x, known)), known

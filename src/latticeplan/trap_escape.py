@@ -42,7 +42,7 @@ def _near_top(g: SearchGraph, pool: Sequence[int]) -> List[int]:
     highest-potential one; the pool ascends, so argmax takes the lowest id."""
     if not pool:
         return []
-    x = np.array([g.coords[v] for v in pool])
+    x = g.coords[pool]
     gap = x - x[np.argmax(g.potentials[pool])]
     near = np.sqrt(np.vecdot(gap, gap)) <= sqrt(2.0) * g.step + _TIE
     return [pool[i] for i in np.flatnonzero(near).tolist()]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import latticeplan as lp
+from latticeplan import graph
 from latticeplan.errors import ResourceLimitError
-from latticeplan.geometry import as_config
+from latticeplan.geometry import as_config, point_feasible, segment_feasible
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
@@ -211,3 +212,83 @@ def test_parent_keys_and_heap_frontier_equal_their_oracles(monkeypatch):
                     assert g.keys[vid] == lattice_key(g.coords[vid], g), (name, vid)
                     assert g.key_map[g.keys[vid]] == vid
     assert picks > 1000
+
+
+def _face_world():
+    """Known boxes whose faces lie on lattice lines of the dyadic pitch
+    1/16: lattice points on a face are feasible, and the wall is thinner
+    than the pitch, so moves across it have both endpoints outside it."""
+    B = lp.ObstaclePrimitive.box
+    boxes = [B([0.5, 0.25], [0.53125, 0.75], known=True),
+             B([0.25, 0.125], [0.375, 0.375], known=True),
+             B([0.6875, 0.5625], [0.8125, 0.6875], known=True)]
+    truth = lp.GroundTruth.create(2, [0, 0], [1, 1], boxes)
+    return truth, np.array([0.0625, 0.5]), np.array([0.9375, 0.5])
+
+
+def _slab_world_3d():
+    """3-D: an unknown slab thinner than the pitch 1/8, with a gap above it,
+    and an unknown block."""
+    B = lp.ObstaclePrimitive.box
+    boxes = [B([0.5, 0.0, 0.0], [0.5625, 0.75, 1.0]),
+             B([0.25, 0.625, 0.25], [0.375, 0.875, 0.75])]
+    truth = lp.GroundTruth.create(3, [0, 0, 0], [1, 1, 1], boxes)
+    return truth, np.array([0.125, 0.5, 0.5]), np.array([0.875, 0.5, 0.5])
+
+
+def _block_runs():
+    """The tree runs above, more mazes and sealed rooms, a world with lattice
+    points on box faces, and a 3-D one."""
+    runs = _tree_runs()
+    for seed in (1, 2):
+        truth, start, target = make_sealed(seed)
+        runs.append((f"sealed-{seed}", truth, start, target,
+                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+    for seed in range(4, 10):
+        truth, start, target = make_maze(seed)
+        runs.append((f"maze-{seed}", truth, start, target,
+                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+    truth, start, target = _face_world()
+    runs.append(("faces", truth, start, target,
+                 lp.PlannerConfig(step=0.0625, sensing_radius=0.1)))
+    truth, start, target = _slab_world_3d()
+    runs.append(("slab-3d", truth, start, target,
+                 lp.PlannerConfig(step=0.125, sensing_radius=0.15)))
+    return runs
+
+
+def test_block_admission_equals_candidate_admissible(monkeypatch):
+    """At every main-loop expansion, the block's admitted moves are those
+    `candidate_admissible` admits from the same vertex, with the same keys
+    and coordinates.  Per move, the block's flag equals the point and segment
+    oracles and its potential equals `distance` to the target exactly."""
+    block_admitted = graph.block_admitted
+    seen = {"expansions": 0, "segment-only": 0, "on-face": 0}
+
+    def checked(g, vid, blocks, env, cfg):
+        got = block_admitted(g, vid, blocks, env, cfg)
+        moves = graph.axis_candidates(g, vid)
+        want = [(q, key) for q, key in moves
+                if graph.candidate_admissible(g, vid, q, key, env, cfg)]
+        assert [key for _, key, _ in got] == [key for _, key in want]
+        assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
+        v = g.coords[vid]
+        for move, (q, _) in enumerate(moves):
+            on_point = point_feasible(q, env)
+            assert blocks.passed[vid, move] == (on_point and segment_feasible(v, q, env))
+            assert blocks.pot[vid, move] == lp.distance(q, g.target)
+            seen["segment-only"] += on_point and not blocks.passed[vid, move]
+            pos = env.robot_positions(q)[:, None, :]
+            seen["on-face"] += on_point and bool(  # on the boundary of a box
+                ((env.lo <= pos) & (pos <= env.hi)).all(axis=-1).any())
+        assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
+        seen["expansions"] += 1
+        return got
+
+    monkeypatch.setattr(graph, "block_admitted", checked)
+    for name, truth, start, target, cfg in _block_runs():
+        res = lp.plan(truth, start, target, cfg)
+        want = "no-feasible-path" if name.startswith("sealed") else "success"
+        assert res.status == want, name
+    assert seen["expansions"] > 3000
+    assert seen["segment-only"] > 0 and seen["on-face"] > 0, seen

@@ -15,7 +15,7 @@ import pytest
 import latticeplan as lp
 from latticeplan import planner
 from latticeplan.environment import distance_to_revealed
-from latticeplan.geometry import distance, point_feasible
+from latticeplan.geometry import distance, edge_lengths, point_feasible
 from latticeplan.pathfind import GraphPath
 from latticeplan.planner import (MotionOutcome, PlannerConfig, _blocking_rows,
                                  _clearance_to, _first_blocking_index)
@@ -194,6 +194,7 @@ def _line_world(*boxes, known=()):
 def _line_path(*xs):
     coords = [np.array([x, 0.5]) for x in xs]
     return GraphPath(vertices=list(range(len(coords))), coords=coords,
+                     edges=edge_lengths(np.asarray(coords)),
                      length=distance(coords[0], coords[-1]), hops=len(coords) - 1)
 
 
