@@ -25,6 +25,8 @@ from .errors import CflViolationError, RegionError
 from .geometry import as_config, segments_hit_boxes
 
 _RHO_FLOOR = 1e-300  # guards log() only; masses themselves are never clipped
+_CONTAIN_TOL = 1e-9  # slack on the half-width of a covered box
+_CONTAIN_BLOCK = 512  # samples per containment pass: 3**n * n keys each
 
 
 @dataclass(eq=False)
@@ -353,7 +355,8 @@ class Region:
     half_width: float
     steady_rho: Optional[np.ndarray] = None
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = _CONTAIN_TOL) -> bool:
+        """x lies in some covered box; the per-sample oracle of `contains_path`."""
         x = as_config(x)
         lat = self.lattice
         node_set = self._node_set
@@ -374,8 +377,34 @@ class Region:
 
 
 def contains_path(region: Region, trajectory: Sequence) -> bool:
-    """True iff every trajectory sample lies inside some covered box."""
-    return all(region.contains(x) for x in trajectory)
+    """True iff every trajectory sample lies inside some covered box: the
+    `Region.contains` test of up to _CONTAIN_BLOCK samples per numpy pass,
+    with the claimed nodes laid out on a dense grid of their lattice keys."""
+    if len(trajectory) == 0:
+        return True
+    if not region.nodes:
+        return False
+    x = np.asarray(trajectory, dtype=float).reshape(len(trajectory), -1)
+    lat = region.lattice
+    nodes = np.asarray(region.nodes, dtype=int)
+    # A built lattice's node sits at anchor + dx * key, so rounding recovers
+    # the key `lat.key_map` holds it under.
+    keys = np.rint((lat.coords[nodes] - lat.anchor) / lat.dx).astype(int)
+    kmin = keys.min(axis=0)
+    grid = np.full(keys.max(axis=0) - kmin + 1, -1)
+    grid[tuple((keys - kmin).T)] = nodes
+    offsets = np.array(_cell_offsets(x.shape[1])) - kmin
+    for first in range(0, x.shape[0], _CONTAIN_BLOCK):
+        xs = x[first:first + _CONTAIN_BLOCK]
+        base = np.floor((xs - lat.anchor) / lat.dx).astype(int)
+        cell = base[:, None, :] + offsets  # (M, 3**n, n) grid indices
+        inside = ((cell >= 0) & (cell < grid.shape)).all(axis=-1)
+        idx = grid[tuple(np.clip(cell, 0, np.array(grid.shape) - 1).transpose(2, 0, 1))]
+        idx = np.where(inside, idx, -1)  # the claimed node at each cell corner, or -1
+        gap = np.abs(lat.coords[idx] - xs[:, None, :]).max(axis=-1)
+        if not ((idx >= 0) & (gap <= region.half_width + _CONTAIN_TOL)).any(axis=1).all():
+            return False
+    return True
 
 
 def gradient_region(start_node: int, lat: Lattice) -> Set[int]:

@@ -10,6 +10,13 @@ distances, one point-in-box expression for positions, and the slab test
 `segments_hit_boxes` for many segments at once.  A single segment goes
 through the scalar `segment_hits_box`, which is also the oracle the batched
 kernels are tested against.
+
+The `rows_*` functions answer a scalar test for every row of a batch of
+configurations (N, n), or of moves given as start and end rows, in one
+numpy pass; the scalar functions they mirror stay as their oracles.  Norms
+are `sqrt(vecdot)`, which sums the squares as the one-vector
+`np.linalg.norm` and `np.dot` do, so every distance and every decision is
+bit-identical to the scalar test's.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ def edge_lengths(points: np.ndarray) -> np.ndarray:
     """
     d = np.diff(points, axis=0)
     return np.sqrt(np.vecdot(d, d))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit-identical to `np.linalg.norm`
+    of each vector."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 @lru_cache(maxsize=16)
@@ -116,25 +129,26 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
 
     starts/ends: (N, d) segment endpoints; lo/hi: (P, d) box corners.
     Returns a boolean (N,) array: segment crosses the interior of any box.
+
+    An axis along which a segment does not move divides by zero: strictly
+    inside the slab its entry and exit are -inf and +inf (the whole line),
+    outside both have one sign (empty), and on a face 0/0 gives NaN, which
+    the max/min reductions carry into a false comparison (empty).  The
+    arrays are laid out (d, P, N), segments innermost: numpy runs a
+    ufunc or a reduction over a 2- or 3-long innermost axis many times
+    slower per element.
     """
     n = starts.shape[0]
     if n == 0 or lo.shape[0] == 0:
         return np.zeros(n, dtype=bool)
-    a = starts[:, None, :]  # (N, 1, d)
-    d = ends[:, None, :] - a
+    a = np.ascontiguousarray(starts.T)[:, None, :]  # (d, 1, N)
+    d = np.ascontiguousarray(ends.T)[:, None, :] - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (lo[None, :, :] - a) / d
-        tb = (hi[None, :, :] - a) / d
-    zero = d == 0.0
-    inside = (lo[None, :, :] < a) & (a < hi[None, :, :])
-    lo_t = np.minimum(ta, tb)
-    hi_t = np.maximum(ta, tb)
-    # Degenerate axes: full line if inside the slab, empty otherwise.
-    lo_t = np.where(zero, np.where(inside, -np.inf, np.inf), lo_t)
-    hi_t = np.where(zero, np.where(inside, np.inf, -np.inf), hi_t)
-    t0 = np.maximum(lo_t.max(axis=2), 0.0)
-    t1 = np.minimum(hi_t.min(axis=2), 1.0)
-    return np.any(t1 > t0, axis=1)
+        ta = (lo.T[:, :, None] - a) / d  # (d, P, N)
+        tb = (hi.T[:, :, None] - a) / d
+    t0 = np.maximum(np.minimum(ta, tb).max(axis=0), 0.0)
+    t1 = np.minimum(np.maximum(ta, tb).min(axis=0), 1.0)
+    return np.any(t1 > t0, axis=0)
 
 
 def point_feasible(x, env) -> bool:
@@ -223,3 +237,89 @@ def formation_motion_feasible(a, b, env, dmin: Optional[float], dmax: Optional[f
     dim = env.dim
     return not np.any(segments_hit_boxes(pos[:, i].reshape(-1, dim), pos[:, j].reshape(-1, dim),
                                          env.lo, env.hi))
+
+
+# -- batched forms of the tests above, one answer per row ---------------------
+
+def _rows_robots(x: np.ndarray, dim: int) -> np.ndarray:
+    """The (N, k, dim) robot positions of configuration rows x (N, n); N may be 0."""
+    return x.reshape(x.shape[0], x.shape[1] // dim, dim)
+
+
+def rows_point_feasible(x: np.ndarray, env) -> np.ndarray:
+    """`point_feasible` of each configuration row of x (N, n), shaped (N,)."""
+    pos = _rows_robots(x, env.dim)
+    ok = ~((pos < env.bounds_lo) | (pos > env.bounds_hi)).any(axis=(1, 2))
+    p = pos[..., None, :]
+    return ok & ~((env.lo < p) & (p < env.hi)).all(axis=-1).any(axis=(1, 2))
+
+
+def rows_segment_feasible(a: np.ndarray, b: np.ndarray, env) -> np.ndarray:
+    """`segment_feasible` of each move from row a[r] to row b[r], every
+    robot's segment in one slab test."""
+    dim = env.dim
+    hit = segments_hit_boxes(a.reshape(-1, dim), b.reshape(-1, dim), env.lo, env.hi)
+    return ~hit.reshape(a.shape[0], a.shape[1] // dim).any(axis=1)
+
+
+def _owners_blocked(starts: np.ndarray, ends: np.ndarray, owner: np.ndarray, env,
+                    rows: int) -> np.ndarray:
+    """Per row r < rows, whether some segment starts[m] -> ends[m] (M, d)
+    with owner[m] == r crosses a box, in one slab test."""
+    blocked = np.zeros(rows, dtype=bool)
+    blocked[owner[segments_hit_boxes(starts, ends, env.lo, env.hi)]] = True
+    return blocked
+
+
+def rows_multi_robot_feasible(x: np.ndarray, env, dmin: float, dmax: float) -> np.ndarray:
+    """`multi_robot_feasible` of each configuration row of x (N, n)."""
+    rows, dim = x.shape[0], env.dim
+    pos = _rows_robots(x, dim)
+    i, j = robot_pairs(pos.shape[1])
+    d = _norms(pos[:, i] - pos[:, j])  # (N, pairs)
+    ok = ~((d < dmin) | (d > dmax)).any(axis=1)
+    return ok & ~_owners_blocked(pos[:, i].reshape(-1, dim), pos[:, j].reshape(-1, dim),
+                                 np.repeat(np.arange(rows), len(i)), env, rows)
+
+
+def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax: float,
+                            link_step: float, segments: bool = False) -> np.ndarray:
+    """Per move from row a[r] to row b[r] (N, n): `multi_robot_feasible(b[r])
+    and formation_motion_feasible(a[r], b[r])`, the band being set; with
+    `segments`, also `segment_feasible(a[r], b[r])`.
+
+    The band over the motion takes each pair's convex-quadratic minimum as
+    `_pair_distance_band_over_motion` does.  The links at b, the link
+    samples of every row still in the band and, with `segments`, every
+    robot's own segment go through one slab test."""
+    rows, dim = b.shape[0], env.dim
+    pa = _rows_robots(a, dim)
+    pb = _rows_robots(b, dim)
+    k = pa.shape[1]
+    i, j = robot_pairs(k)
+    r0 = pa[:, i] - pa[:, j]  # (N, pairs, d)
+    r1 = pb[:, i] - pb[:, j]
+    dr = r1 - r0
+    denom = np.vecdot(dr, dr)
+    t = np.clip(np.divide(-np.vecdot(r0, dr), denom, out=np.zeros_like(denom),
+                          where=denom > 0.0), 0.0, 1.0)
+    d1 = _norms(r1)
+    ok = ~((d1 < dmin) | (d1 > dmax) | (_norms(r0) > dmax)
+           | (_norms(r0 + t[..., None] * dr) < dmin)).any(axis=1)
+    # Link samples along the motion at link_step, as in
+    # formation_motion_feasible: sample m of a row with s steps sits at m / s.
+    idx = np.flatnonzero(ok)
+    steps = np.maximum(np.ceil(_norms(a[idx] - b[idx]) / link_step), 1.0).astype(int)
+    row = np.repeat(idx, steps + 1)
+    m = np.arange(row.shape[0]) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
+    start = pa[row]
+    pos = np.concatenate([pb[idx], start + (m / np.repeat(steps, steps + 1))[:, None, None]
+                          * (pb[row] - start)])
+    starts, ends = [pos[:, i].reshape(-1, dim)], [pos[:, j].reshape(-1, dim)]
+    owner = [np.repeat(np.concatenate([idx, row]), len(i))]
+    if segments:
+        starts.append(a.reshape(-1, dim))
+        ends.append(b.reshape(-1, dim))
+        owner.append(np.repeat(np.arange(rows), k))
+    return ok & ~_owners_blocked(np.concatenate(starts), np.concatenate(ends),
+                                 np.concatenate(owner), env, rows)

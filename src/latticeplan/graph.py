@@ -14,12 +14,14 @@ pops the first vertex at or past the prepared range.  One numpy pass builds
 the moves of the whole block and tests the workspace bounds, the revealed
 box interiors and the moving robot's segment (the other robots do not move,
 and a zero-length segment crosses a box exactly when its point lies inside
-it), and computes every move's potential.  These depend only on the
-environment, which is fixed while a tree grows, so a vertex expanded later
-only looks its moves' keys up and runs the formation terms on the unvisited
-ones.  The trap escapes admit one vertex's moves at a time through
-`candidate_admissible`, which is also the oracle the blocks are tested
-against.
+it), and computes every move's potential; for a formation, one more pass
+over the moves that passed tests the band at the end point, the band over
+the motion and the sampled robot-to-robot links (`rows_formation_feasible`).
+These depend only on the environment, which is fixed while a tree grows, so
+a vertex expanded later only looks its moves' keys up.  The trap escapes
+admit a vertex's whole candidate list in one such pass (`admit_candidates`).
+`candidate_admissible` and `candidate_open` are the per-candidate oracles
+both are tested against.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -35,9 +37,9 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import ResourceLimitError
-from .geometry import (as_config, distance, formation_motion_feasible,
-                       formation_segment_feasible, multi_robot_feasible, point_feasible,
-                       segments_hit_boxes)
+from .geometry import (as_config, distance, formation_segment_feasible, multi_robot_feasible,
+                       point_feasible, rows_formation_feasible, rows_multi_robot_feasible,
+                       rows_point_feasible, rows_segment_feasible, segments_hit_boxes)
 
 _TARGET_SNAP = 1e-12
 
@@ -172,6 +174,44 @@ def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray, key: Key,
         g.coords[from_id], q, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
 
 
+def _band(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
+    dmin, dmax = env.truth.dmin, env.truth.dmax
+    return None if dmin is None or dmax is None else (dmin, dmax)
+
+
+def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
+    """`candidate_open` of each configuration row of q (N, n), the key
+    test aside, in one pass."""
+    ok = rows_point_feasible(q, env)
+    band = _band(env)
+    if band is not None and ok.any():
+        idx = np.flatnonzero(ok)
+        ok[idx] = rows_multi_robot_feasible(q[idx], env, *band)
+    return ok
+
+
+def admit_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
+                     env: KnownEnvironment, cfg: GenConfig) -> List[Admitted]:
+    """The candidates from vertex vid that `candidate_admissible` admits,
+    with their potentials, tested in one pass."""
+    fresh = [c for c in candidates if c[1] not in g.key_map]
+    if not fresh:
+        return []
+    q = np.array([q for q, _ in fresh])
+    a = np.broadcast_to(g._xy[vid], q.shape)
+    ok = rows_point_feasible(q, env)
+    band = _band(env)
+    if band is None:
+        ok &= rows_segment_feasible(a, q, env)
+    elif ok.any():
+        idx = np.flatnonzero(ok)
+        ok[idx] = rows_formation_feasible(a[idx], q[idx], env, *band, cfg.link_step,
+                                          segments=True)
+    d = q - g.target
+    pot = np.sqrt(np.vecdot(d, d))  # bit-identical to distance()
+    return [(c, key, p) for (c, key), good, p in zip(fresh, ok.tolist(), pot.tolist()) if good]
+
+
 def axis_candidates(g: SearchGraph, vid: int) -> List[Candidate]:
     """The 2n lattice moves from a vertex, in deterministic axis order."""
     v, key = g.coords[vid], g.keys[vid]
@@ -189,7 +229,8 @@ class AxisBlocks:
     `prepared`, by vertex id: move 2a + s of a vertex steps axis a by +step
     (s = 0) or -step (s = 1), as `axis_candidates` orders them.  `passed`
     holds whether a move is in bounds, outside every revealed box and not
-    crossing one; `pot` holds its potential."""
+    crossing one and, for a formation, passes `rows_formation_feasible`;
+    `pot` holds its potential."""
 
     def __init__(self, n: int, dim: int):
         self.prepared = 0
@@ -199,7 +240,7 @@ class AxisBlocks:
         self._moves = np.arange(2 * n)
         self._movers = self._moves // (2 * dim)  # the robot each move moves
 
-    def prepare(self, g: SearchGraph, env: KnownEnvironment) -> None:
+    def prepare(self, g: SearchGraph, env: KnownEnvironment, cfg: GenConfig) -> None:
         """Test the moves of the vertices [prepared, g.count) in one pass."""
         first, last = self.prepared, g.count
         if last > self.passed.shape[0]:
@@ -218,29 +259,28 @@ class AxisBlocks:
         q = np.repeat(v[:, None, :], 2 * n, axis=1)  # (rows, 2n, n)
         q[:, moves[0::2], axes] = v + g.step
         q[:, moves[1::2], axes] = v - g.step
+        passed = rows_point_feasible(q.reshape(-1, n), env).reshape(rows, 2 * n)
         pos = q.reshape(rows, 2 * n, -1, dim)  # robot positions
-        passed = ~((pos < env.bounds_lo) | (pos > env.bounds_hi)).any(axis=(2, 3))
-        p = pos[..., None, :]
-        passed &= ~((env.lo < p) & (p < env.hi)).all(axis=-1).any(axis=(2, 3))
         # Only the moving robot's segment can cross a box the points miss.
         start = v.reshape(rows, -1, dim)[:, movers]
         end = pos[:, moves, movers]
         passed &= ~segments_hit_boxes(start.reshape(-1, dim), end.reshape(-1, dim),
                                       env.lo, env.hi).reshape(rows, 2 * n)
+        band = _band(env)
+        if band is not None:
+            idx = np.flatnonzero(passed[:b])  # move r * 2n + m of block row r
+            passed.flat[idx] = rows_formation_feasible(
+                v[idx // (2 * n)], q.reshape(-1, n)[idx], env, *band, cfg.link_step)
         d = q - g.target
         self.passed[first:last] = passed[:b]
         self.pot[first:last] = np.sqrt(np.vecdot(d, d))[:b]  # bit-identical to distance()
         self.prepared = last
 
 
-def block_admitted(g: SearchGraph, vid: int, blocks: AxisBlocks, env: KnownEnvironment,
-                   cfg: GenConfig) -> List[Admitted]:
+def block_admitted(g: SearchGraph, vid: int, blocks: AxisBlocks) -> List[Admitted]:
     """The axis moves of a prepared vertex that are admitted now: passed by
-    its block, unvisited and, for a formation, inside the band at the point
-    and over the motion with unblocked links."""
+    its block and unvisited."""
     v, key = g._xy[vid], g.keys[vid]
-    dmin, dmax = env.truth.dmin, env.truth.dmax
-    band = dmin is not None and dmax is not None
     out = []
     for move, (ok, p) in enumerate(zip(blocks.passed[vid].tolist(), blocks.pot[vid].tolist())):
         if not ok:
@@ -251,9 +291,6 @@ def block_admitted(g: SearchGraph, vid: int, blocks: AxisBlocks, env: KnownEnvir
             continue
         q = v.copy()
         q[axis] += sign * g.step
-        if band and not (multi_robot_feasible(q, env, dmin, dmax) and formation_motion_feasible(
-                v, q, env, dmin, dmax, cfg.link_step)):
-            continue
         out.append((q, qkey, p))
     return out
 
@@ -267,8 +304,7 @@ def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenCon
 def insert_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
                       env: KnownEnvironment, cfg: GenConfig) -> List[int]:
     """Admit, insert and target-link a batch of candidates from vertex vid."""
-    return insert_admitted(g, vid, [(q, key, distance(q, g.target)) for q, key in candidates
-                                    if candidate_admissible(g, vid, q, key, env, cfg)], env, cfg)
+    return insert_admitted(g, vid, admit_candidates(g, vid, candidates, env, cfg), env, cfg)
 
 
 def insert_admitted(g: SearchGraph, vid: int, admitted: List[Admitted],
@@ -323,9 +359,9 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         if vid is None:
             return g
         if vid >= blocks.prepared:
-            blocks.prepare(g, env)
+            blocks.prepare(g, env, cfg)
         base_pot = g.potential_of(vid)
-        new_ids = insert_admitted(g, vid, block_admitted(g, vid, blocks, env, cfg), env, cfg)
+        new_ids = insert_admitted(g, vid, block_admitted(g, vid, blocks), env, cfg)
         g.mark_expanded(vid)
         if g.target_id is not None:
             break

@@ -9,13 +9,13 @@ max_vertices, region_shift.  Parsing errors carry the 1-based line number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .environment import GroundTruth, KnownEnvironment
 from .errors import ScenarioError
-from .geometry import ObstaclePrimitive, point_feasible
+from .geometry import ObstaclePrimitive, multi_robot_feasible, point_feasible
 from .planner import PlannerConfig
 from .trap_escape import TrapEscapePolicy
 
@@ -75,12 +75,14 @@ def _floats(parts: List[str], want: int, key: str, line: int) -> np.ndarray:
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     sized_at = None  # first line whose number count depends on dim
+    lines: Dict[str, int] = {}  # the line each directive was last read from
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         parts = stripped.split()
         key, args = parts[0], parts[1:]
+        lines[key] = ln
         if key in ("workspace", "start", "target", "obstacle", "region_shift"):
             sized_at = sized_at or ln
         if key == "dim":
@@ -144,12 +146,14 @@ def parse_scenario(text: str) -> Scenario:
             sc.escape = args[0]
         else:
             raise ScenarioError(f"unknown directive {key!r}", ln)
-    validate_scenario(sc)
+    validate_scenario(sc, lines)
     return sc
 
 
-def validate_scenario(sc: Scenario) -> None:
-    """Structural checks that need the whole file."""
+def validate_scenario(sc: Scenario, lines: Optional[Dict[str, int]] = None) -> None:
+    """Structural checks that need the whole file.  `lines` maps a directive
+    to the line it was read from, for the messages."""
+    lines = lines or {}
     if sc.start is None:
         raise ScenarioError("missing start")
     if sc.target is None:
@@ -163,6 +167,8 @@ def validate_scenario(sc: Scenario) -> None:
             raise ScenarioError("multi-robot scenarios need dmin and dmax")
         if not (0 <= sc.dmin < sc.dmax):
             raise ScenarioError("need 0 <= dmin < dmax")
+    elif sc.escape == "fixed-shape":
+        raise ScenarioError("escape fixed-shape needs robots 2 or more", lines.get("escape"))
     if not (0.0 < sc.stop_fraction < 1.0):
         raise ScenarioError("stop_fraction must lie in (0, 1)")
     truth = sc.ground_truth()
@@ -171,6 +177,11 @@ def validate_scenario(sc: Scenario) -> None:
         if not point_feasible(q, full):
             raise ScenarioError(f"{name} is infeasible in the ground-truth "
                                 "environment")
+        if sc.dmin is not None and sc.dmax is not None and not multi_robot_feasible(
+                q, full, sc.dmin, sc.dmax):
+            raise ScenarioError(f"{name} has a robot pair outside [dmin, dmax] or a "
+                                "robot-to-robot link crossing a box in the ground-truth "
+                                "environment", lines.get(name))
 
 
 def serialize_scenario(sc: Scenario) -> str:

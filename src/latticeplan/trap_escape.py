@@ -19,9 +19,9 @@ from typing import List, Sequence, Set, Tuple
 import numpy as np
 
 from .environment import KnownEnvironment, distance_to_revealed
-from .geometry import box_distances, distance
-from .graph import (Candidate, GenConfig, SearchGraph, axis_candidates,
-                    candidate_open, insert_candidates)
+from .geometry import box_distances
+from .graph import (Candidate, GenConfig, SearchGraph, axis_candidates, insert_candidates,
+                    open_rows)
 
 _TIE = 1e-9
 
@@ -52,13 +52,26 @@ def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
                    moves_of, closed: Set[int]) -> bool:
     """Some pool vertex near the top has an open lower-potential move.  A
     vertex found with none joins `closed` and is skipped from then on: while
-    `env` is fixed and `g.key_map` only grows, a closed move stays closed."""
-    for v in _near_top(g, pool):
-        if v not in closed:
-            if any(distance(q, g.target) < g.potential_of(v) and candidate_open(g, q, key, env)
-                   for q, key in moves_of(v)):
-                return True
-            closed.add(v)
+    `env` is fixed and `g.key_map` only grows, a closed move stays closed.
+    The unvisited moves of every vertex not yet closed are tested in one
+    pass; the vertices before the first one with an open move are closed,
+    as a vertex-by-vertex walk closes them."""
+    todo = [v for v in _near_top(g, pool) if v not in closed]
+    fresh = [(n, q) for n, v in enumerate(todo) for q, key in moves_of(v)
+             if key not in g.key_map]
+    if fresh:
+        owner = np.array([n for n, _ in fresh])
+        q = np.array([q for _, q in fresh])
+        d = q - g.target
+        # A move's potential is bit-identical to distance(q, g.target).
+        good = np.sqrt(np.vecdot(d, d)) < g.potentials[todo][owner]
+        idx = np.flatnonzero(good)
+        good[idx] = open_rows(q[idx], env)
+        found = owner[good]
+        if found.shape[0]:
+            closed.update(todo[:found[0]])
+            return True
+    closed.update(todo)
     return False
 
 

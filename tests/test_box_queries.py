@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import latticeplan as lp
 from latticeplan.environment import distance_to_revealed, sense
-from latticeplan.geometry import (formation_segment_feasible, multi_robot_feasible,
-                                  point_feasible, segment_feasible, segment_hits_box)
+from latticeplan.geometry import (formation_motion_feasible, formation_segment_feasible,
+                                  multi_robot_feasible, point_feasible, rows_formation_feasible,
+                                  rows_multi_robot_feasible, rows_point_feasible,
+                                  rows_segment_feasible, segment_feasible, segment_hits_box)
 from latticeplan.planner import _first_blocking_index
 from latticeplan.trap_escape import _clearances
 
@@ -166,3 +168,79 @@ def test_obstacle_queries_equal_per_box_loops(world):
         want = oracle_first_blocking_index(samples[start:], env)
         assert _first_blocking_index(samples, start, env) == \
             (None if want is None else start + want)
+
+
+LINK_STEP = 1 / 16
+
+
+@st.composite
+def formation_batches(draw):
+    """A batch of formation moves (a, b), each (N, n): 2-D or 3-D, 2-4
+    robots, 0-6 boxes on a 1/8 grid (the empty set included) plus thin
+    off-grid ones, and start rows on a 1/8 grid or off it.  The moves step
+    one coordinate by 1/8, translate the whole formation (every pair's
+    motion has zero length), translate one robot, or move at random, with
+    some lengths scaled to land within a few ulps below, on or above a
+    whole number of link steps."""
+    dim = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 4))
+    n = k * dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nbox = draw(st.integers(0, 6))
+    corners = list(np.sort(rng.integers(0, 9, (nbox, 2, dim)), axis=1) / 8)
+    for _ in range(draw(st.integers(0, 2))):
+        lo = rng.uniform(0, 0.9, dim)
+        hi = lo + rng.uniform(0.005, 0.4, dim)
+        hi[rng.integers(dim)] = lo[rng.integers(dim)] + rng.uniform(0.001, 0.02)
+        corners.append(np.sort([lo, hi], axis=0))
+    boxes = [lp.ObstaclePrimitive.box(lo, hi) for lo, hi in corners]
+    truth = lp.GroundTruth.create(dim, np.zeros(dim), np.ones(dim), boxes)
+    env = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
+    rows = 24
+    a = np.concatenate([rng.integers(0, 9, (rows // 2, n)) / 8,
+                        rng.uniform(0.0, 1.0, (rows - rows // 2, n))])
+    move = np.zeros((rows, n))
+    move[np.arange(rows), rng.integers(0, n, rows)] = rng.choice([-1 / 8, 1 / 8], rows)
+    kind = rng.integers(0, 4, rows)
+    shift = rng.uniform(-0.3, 0.3, (rows, dim))
+    rigid = kind == 1
+    move[rigid] = np.tile(shift[rigid], k)
+    one = np.flatnonzero(kind == 2)
+    move[one] = 0.0
+    for r, robot in zip(one, rng.integers(0, k, one.shape[0])):
+        move[r, robot * dim:(robot + 1) * dim] = shift[r]
+    wild = kind == 3
+    move[wild] = rng.uniform(-0.3, 0.3, (int(wild.sum()), n))
+    # Lengths of m link steps times (1 + e), e a few ulps either side of 0.
+    scaled = rng.random(rows) < 0.5
+    length = np.sqrt(np.vecdot(move, move))
+    target = LINK_STEP * rng.integers(1, 6, rows) * (1 + rng.integers(-4, 5, rows) * 2.0**-52)
+    move[scaled] *= (target / np.where(length > 0, length, 1.0))[scaled, None]
+    move[rng.random(rows) < 0.05] = 0.0  # no motion at all
+    return env, a, a + move
+
+
+@settings(max_examples=300, deadline=None)
+@given(formation_batches())
+def test_batched_formation_kernel_equals_scalar_tests(batch):
+    """Row by row, every `rows_*` test equals the scalar test it batches;
+    the bands put exact grid distances on dmin and dmax."""
+    env, a, b = batch
+    assert rows_point_feasible(b, env).tolist() == [point_feasible(y, env) for y in b]
+    assert rows_segment_feasible(a, b, env).tolist() == \
+        [segment_feasible(x, y, env) for x, y in zip(a, b)]
+    for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
+        assert rows_multi_robot_feasible(b, env, dmin, dmax).tolist() == \
+            [multi_robot_feasible(y, env, dmin, dmax) for y in b]
+        want = [multi_robot_feasible(y, env, dmin, dmax)
+                and formation_motion_feasible(x, y, env, dmin, dmax, LINK_STEP)
+                for x, y in zip(a, b)]
+        assert rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP).tolist() == want
+        assert rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP,
+                                       segments=True).tolist() == \
+            [w and segment_feasible(x, y, env) for w, x, y in zip(want, a, b)]
+        # Any subset of rows, empty included, gives the same answers.
+        keep = np.flatnonzero(np.arange(len(a)) % 3 == 1)
+        assert rows_formation_feasible(a[keep], b[keep], env, dmin, dmax,
+                                       LINK_STEP).tolist() == [want[r] for r in keep]
+        assert rows_formation_feasible(a[:0], b[:0], env, dmin, dmax, LINK_STEP).shape == (0,)

@@ -241,3 +241,45 @@ def test_stepping_into_an_unseen_box_is_scenario_error(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("scenario error: ")
     assert "sensing_radius" in err and "motion pitch step/10" in err
+
+
+# The dead end of tests/conftest.py:make_deadend with one robot.
+SINGLE_DEADEND_SCENARIO = """\
+dim 2
+workspace 0 0 1 1
+start 0.12 0.5
+target 0.88 0.5
+obstacle box 0.55 0.28 0.61 0.72
+obstacle box 0.33 0.28 0.55 0.34
+obstacle box 0.33 0.66 0.55 0.72
+sensing_radius 0.12
+step 0.04
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "batch"])
+def test_fixed_shape_escape_with_one_robot_is_scenario_error(tmp_path, capsys, command):
+    p = tmp_path / "deadend.scn"
+    p.write_text(SINGLE_DEADEND_SCENARIO + "escape fixed-shape\n")
+    assert main([command, "--scenario", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err == "scenario error: line 10: escape fixed-shape needs robots 2 or more\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "batch"])
+def test_fixed_shape_escape_override_with_one_robot_is_scenario_error(tmp_path, capsys,
+                                                                      command):
+    p = tmp_path / "deadend.scn"
+    p.write_text(SINGLE_DEADEND_SCENARIO)
+    assert main([command, "--scenario", str(p), "--override", "escape=fixed-shape"]) == 4
+    assert "escape fixed-shape needs robots 2 or more" in capsys.readouterr().err
+    assert main([command, "--scenario", str(p), "--override", "escape=near-obstacle"]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "batch"])
+def test_start_outside_formation_band_is_scenario_error(tmp_path, capsys, command):
+    p = tmp_path / "wide.scn"
+    p.write_text(TWO_ROBOT_SCENARIO.replace("start 0.1 0.44 0.1 0.5", "start 0.1 0.3 0.1 0.63"))
+    assert main([command, "--scenario", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: line 4: start has a robot pair outside [dmin, dmax]")

@@ -4,7 +4,10 @@ The region is built from closed forms of the flow's limits; the explicit
 solver is the oracle they are compared with here.
 """
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +421,76 @@ def test_mirror_scene_ties_go_to_the_lower_index():
     # Each tie went to the lower index: the nodes claimed without their
     # mirror image all lie below the axis, where indices are lower.
     assert all(lat.coords[i][1] < 0.5 and i < mirror[i] for i in lone)
+
+
+def _region_scene_inputs(seed):
+    """The region-scenes inputs of the benchmark's pass for `seed`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    scenes = sys.modules.setdefault("perfbench_scenes", importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(scenes)  # its dataclasses look their module up
+    return scenes.pass_inputs("region-scenes", seed)
+
+
+def _regions_with_trajectories():
+    """(region, planned trajectory) on the containment scenes and on the
+    benchmark's region scenes, 2-D and 3-D."""
+    for _, prims, start, target in containment_scenes():
+        truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims)
+        yield truth, np.array(start), np.array(target), 0.05
+    for inp in _region_scene_inputs(0):
+        prims = [lp.ObstaclePrimitive.box(lo, hi, known=True) for lo, hi in inp.boxes]
+        truth = lp.GroundTruth.create(inp.dim, np.zeros(inp.dim), np.ones(inp.dim), prims)
+        yield truth, inp.start, inp.target, inp.step
+
+
+def test_contains_path_equals_per_sample_contains():
+    """The one-pass containment test equals `Region.contains` per sample: on
+    planned trajectories, on random points, and on points at exactly the
+    half-width plus tolerance from a claimed node along one axis, or one ulp
+    beyond it."""
+    rng = np.random.default_rng(3)
+    regions = in_box = edge_in = edge_out = 0
+    for truth, start, target, step in _regions_with_trajectories():
+        res = lp.plan(truth, start, target, lp.PlannerConfig(step=step, sensing_radius=0.12))
+        assert res.status == "success"
+        env = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
+        lat = fpe.Lattice.build(env, start, step, target)
+        region = fpe.build_region(start, target, lat)
+        traj = res.full_trajectory
+        assert fpe.contains_path(region, traj) == all(region.contains(x) for x in traj)
+        n = start.shape[0]
+        nodes = lat.coords[list(region.nodes)]
+        reach = region.half_width + 1e-9
+        samples = list(rng.uniform(-0.05, 1.05, (200, n)))
+        for c in nodes[rng.choice(len(nodes), min(len(nodes), 10), replace=False)]:
+            for axis in range(n):
+                for sign in (1.0, -1.0):
+                    x = c.copy()
+                    x[axis] = c[axis] + sign * reach
+                    samples.append(x)
+                    y = x.copy()
+                    y[axis] = np.nextafter(x[axis], sign * np.inf)
+                    samples.append(y)
+        for x in samples:
+            want = region.contains(x)
+            assert fpe.contains_path(region, [x]) == want, x
+            in_box += want
+        on_edge = [region.contains(x) for x in samples[200:]]
+        edge_in += sum(on_edge[0::2])
+        edge_out += len(on_edge[1::2]) - sum(on_edge[1::2])
+        regions += 1
+        # A path is contained iff each of its samples is.
+        path = samples[:20]
+        assert fpe.contains_path(region, path) == all(region.contains(x) for x in path)
+        assert fpe.contains_path(region, list(traj) + [samples[-1]]) == region.contains(
+            samples[-1])
+    assert regions == 25 and in_box > 0 and edge_in > 0 and edge_out > 0
+    assert fpe.contains_path(region, [])
+    # Paths longer than one pass: inside, and with one sample outside the
+    # region in the third pass.
+    near = nodes[rng.integers(0, len(nodes), 1300)]
+    path = list(near + rng.uniform(-0.5, 0.5, near.shape) * region.half_width)
+    assert fpe.contains_path(region, path) and all(region.contains(x) for x in path)
+    path[1200] = path[1200] + 3.0
+    assert not region.contains(path[1200]) and not fpe.contains_path(region, path)

@@ -6,7 +6,8 @@ import pytest
 import latticeplan as lp
 from latticeplan import graph
 from latticeplan.errors import ResourceLimitError
-from latticeplan.geometry import as_config, point_feasible, segment_feasible
+from latticeplan.geometry import (as_config, formation_motion_feasible, multi_robot_feasible,
+                                  point_feasible, segment_feasible)
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
@@ -260,13 +261,21 @@ def _block_runs():
 def test_block_admission_equals_candidate_admissible(monkeypatch):
     """At every main-loop expansion, the block's admitted moves are those
     `candidate_admissible` admits from the same vertex, with the same keys
-    and coordinates.  Per move, the block's flag equals the point and segment
-    oracles and its potential equals `distance` to the target exactly."""
-    block_admitted = graph.block_admitted
-    seen = {"expansions": 0, "segment-only": 0, "on-face": 0}
+    and coordinates.  Per move, the block's flag equals the point, segment
+    and, for a formation, band and motion oracles, and its potential equals
+    `distance` to the target exactly."""
+    block_admitted, prepare = graph.block_admitted, graph.AxisBlocks.prepare
+    seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0}
+    tree = {}
 
-    def checked(g, vid, blocks, env, cfg):
-        got = block_admitted(g, vid, blocks, env, cfg)
+    def capturing_prepare(blocks, g, env, cfg):
+        tree.update(env=env, cfg=cfg)  # fixed while one tree grows
+        return prepare(blocks, g, env, cfg)
+
+    def checked(g, vid, blocks):
+        env, cfg = tree["env"], tree["cfg"]
+        dmin, dmax = env.truth.dmin, env.truth.dmax
+        got = block_admitted(g, vid, blocks)
         moves = graph.axis_candidates(g, vid)
         want = [(q, key) for q, key in moves
                 if graph.candidate_admissible(g, vid, q, key, env, cfg)]
@@ -275,9 +284,14 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         v = g.coords[vid]
         for move, (q, _) in enumerate(moves):
             on_point = point_feasible(q, env)
-            assert blocks.passed[vid, move] == (on_point and segment_feasible(v, q, env))
+            on_segment = on_point and segment_feasible(v, q, env)
+            in_band = dmin is None or dmax is None or (
+                multi_robot_feasible(q, env, dmin, dmax)
+                and formation_motion_feasible(v, q, env, dmin, dmax, cfg.link_step))
+            assert blocks.passed[vid, move] == (on_segment and in_band)
             assert blocks.pot[vid, move] == lp.distance(q, g.target)
-            seen["segment-only"] += on_point and not blocks.passed[vid, move]
+            seen["segment-only"] += on_point and not on_segment
+            seen["formation-only"] += on_segment and not in_band
             pos = env.robot_positions(q)[:, None, :]
             seen["on-face"] += on_point and bool(  # on the boundary of a box
                 ((env.lo <= pos) & (pos <= env.hi)).all(axis=-1).any())
@@ -285,6 +299,7 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         seen["expansions"] += 1
         return got
 
+    monkeypatch.setattr(graph.AxisBlocks, "prepare", capturing_prepare)
     monkeypatch.setattr(graph, "block_admitted", checked)
     for name, truth, start, target, cfg in _block_runs():
         res = lp.plan(truth, start, target, cfg)
@@ -292,3 +307,4 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         assert res.status == want, name
     assert seen["expansions"] > 3000
     assert seen["segment-only"] > 0 and seen["on-face"] > 0, seen
+    assert seen["formation-only"] > 0, seen

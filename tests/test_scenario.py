@@ -81,3 +81,59 @@ def test_derived_objects():
     assert len(truth.primitives) == 2
     cfg = sc.planner_config()
     assert cfg.step == 0.04 and cfg.sensing_radius == 0.1
+
+
+SINGLE_DEADEND = """\
+dim 2
+workspace 0 0 1 1
+start 0.12 0.5
+target 0.88 0.5
+obstacle box 0.55 0.28 0.61 0.72
+obstacle box 0.33 0.28 0.55 0.34
+obstacle box 0.33 0.66 0.55 0.72
+sensing_radius 0.12
+step 0.04
+escape fixed-shape
+"""
+
+
+@pytest.mark.parametrize("text, line", [
+    (SINGLE_DEADEND, 10),
+    (SINGLE_DEADEND.replace("escape fixed-shape\n", "").replace(
+        "dim 2\n", "dim 2\nescape fixed-shape\nrobots 1\n"), 2),
+])
+def test_fixed_shape_escape_with_one_robot_rejected(text, line):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert exc.value.line == line
+    assert "escape fixed-shape needs robots 2 or more" in str(exc.value)
+
+
+def test_other_escapes_with_one_robot_accepted():
+    for mode in ("none", "near-obstacle"):
+        sc = parse_scenario(SINGLE_DEADEND.replace("fixed-shape", mode))
+        assert sc.escape == mode and sc.robots == 1
+
+
+@pytest.mark.parametrize("name, line, value", [
+    ("start", 5, "0.1 0.3 0.1 0.63"),    # 0.33 apart, above dmax
+    ("target", 6, "0.9 0.5 0.9 0.51"),   # 0.01 apart, below dmin
+])
+def test_start_or_target_outside_band_rejected(name, line, value):
+    x = "0.1" if name == "start" else "0.9"
+    bad = GOOD.replace(f"{name} {x} 0.47 {x} 0.53", f"{name} {value}")
+    assert bad != GOOD
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(bad)
+    assert exc.value.line == line
+    assert f"{name} has a robot pair outside [dmin, dmax]" in str(exc.value)
+
+
+def test_start_with_blocked_link_rejected():
+    """Both robots stand outside every box, 0.06 apart, but a thin box
+    between them blocks their link; an unknown box counts, as the check is
+    made against the ground truth."""
+    bad = GOOD + "obstacle box 0.05 0.49 0.15 0.51\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(bad)
+    assert exc.value.line == 5 and "link crossing a box" in str(exc.value)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import latticeplan as lp
-from latticeplan import trap_escape
+from latticeplan import graph, trap_escape
 from latticeplan.environment import distance_to_revealed
-from latticeplan.graph import (GenConfig, axis_candidates, candidate_open, generate_graph,
-                               insert_candidates)
+from latticeplan.geometry import point_feasible, segment_feasible
+from latticeplan.graph import (GenConfig, axis_candidates, candidate_admissible, candidate_open,
+                               generate_graph, insert_candidates)
 from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
@@ -176,6 +177,63 @@ def _restricted_search_scan(g, pool, done, moves_of, candidates_of, env, cfg):
             break
         escaped = _in_escape_set_loop(g, pool, env, moves_of)
     return added, escaped, False
+
+
+def _in_escape_set_walk(g, pool, env, moves_of, closed):
+    """The vertex-by-vertex walk: each near-top vertex not yet closed is
+    tested move by move with `candidate_open`, and closed when none opens."""
+    for v in trap_escape._near_top(g, pool):
+        if v not in closed:
+            if any(lp.distance(q, g.target) < g.potential_of(v)
+                   and candidate_open(g, q, key, env) for q, key in moves_of(v)):
+                return True
+            closed.add(v)
+    return False
+
+
+def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
+    """In both escape modes, with 2 and 3 robots, every batched admission
+    admits the candidates `candidate_admissible` admits, with the same
+    keys, coordinates and potentials (`==`), and every batched escape-set
+    test answers and closes as the per-move walk does."""
+    admit, in_escape_set = graph.admit_candidates, trap_escape._in_escape_set
+    seen = {"admissions": 0, "formation-only": 0, "escape-sets": 0, "closed-then-open": 0}
+
+    def checked_admit(g, vid, candidates, env, cfg):
+        got = admit(g, vid, candidates, env, cfg)
+        want = [(q, key) for q, key in candidates
+                if candidate_admissible(g, vid, q, key, env, cfg)]
+        assert [key for _, key, _ in got] == [key for _, key in want]
+        assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
+        assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
+        v = g.coords[vid]
+        seen["formation-only"] += sum(
+            key not in g.key_map and point_feasible(q, env) and segment_feasible(v, q, env)
+            and not candidate_admissible(g, vid, q, key, env, cfg) for q, key in candidates)
+        seen["admissions"] += 1
+        return got
+
+    def checked_in_escape_set(g, pool, env, moves_of, closed):
+        walked = set(closed)
+        want = _in_escape_set_walk(g, pool, env, moves_of, walked)
+        before = len(closed)
+        got = in_escape_set(g, pool, env, moves_of, closed)
+        assert got == want and closed == walked
+        seen["escape-sets"] += 1
+        seen["closed-then-open"] += got and len(closed) > before
+        return got
+
+    monkeypatch.setattr(graph, "admit_candidates", checked_admit)
+    monkeypatch.setattr(trap_escape, "_in_escape_set", checked_in_escape_set)
+    for k, step, mode in ((2, 0.04, "fixed-shape"), (3, 0.06, "fixed-shape"),
+                          (2, 0.08, "near-obstacle"), (3, 0.08, "near-obstacle")):
+        truth, start, target = make_deadend(k)
+        res = lp.plan(truth, start, target, lp.PlannerConfig(
+            step=step, sensing_radius=0.12, escape=TrapEscapePolicy(mode=mode)))
+        assert res.status == "success"
+        assert any(s.graph.escape_log for s in res.segments), (k, mode)
+    assert seen["admissions"] > 500 and seen["escape-sets"] > 500, seen
+    assert seen["formation-only"] > 0 and seen["closed-then-open"] > 0, seen
 
 
 def _shape_matches_loop(g, vid, ref, pairs, dim):
