@@ -6,7 +6,12 @@ class PlanningError(Exception):
 
 
 class ResourceLimitError(PlanningError):
-    """A configured vertex or iteration budget was exceeded."""
+    """A configured vertex or iteration budget was exceeded; `graph` is the
+    tree that hit it."""
+
+    def __init__(self, message: str, graph=None):
+        super().__init__(message)
+        self.graph = graph
 
 
 class ModelViolationError(PlanningError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import CflViolationError, RegionError
-from .geometry import as_config, segments_hit_boxes
+from .geometry import as_config, rows_point_feasible, rows_segment_feasible
 
 _RHO_FLOOR = 1e-300  # guards log() only; masses themselves are never clipped
 _CONTAIN_TOL = 1e-9  # slack on the half-width of a covered box
@@ -57,14 +57,9 @@ class Lattice:
         ranges = [range(kmin[i], kmax[i] + 1) for i in range(n)]
         shape = tuple(len(r) for r in ranges)
         grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
-        dim, k = env.dim, n // env.dim
-        # A grid point is a zero-length segment, which crosses an open box
-        # iff the point lies inside it.
-        pos = (anchor + dx * grid).reshape(-1, dim)
-        bad = (segments_hit_boxes(pos, pos, env.lo, env.hi)
-               | np.any((pos < env.bounds_lo) | (pos > env.bounds_hi), axis=1))
-        ok = ~bad.reshape(-1, k).any(axis=1)
-        coords_arr = pos.reshape(-1, n)[ok]
+        x = anchor + dx * grid
+        ok = rows_point_feasible(x, env)
+        coords_arr = x[ok]
         key_map: Dict[Tuple[int, ...], int] = {
             key: i for i, key in enumerate(map(tuple, grid[ok].tolist()))}
         # Per grid point and axis, the node one step up that axis (-1: none);
@@ -78,9 +73,7 @@ class Lattice:
         up = up.reshape(-1, n)[ok]
         j, axes = np.nonzero(up >= 0)
         nbr = up[j, axes]
-        hit = segments_hit_boxes(coords_arr[j].reshape(-1, dim),
-                                 coords_arr[nbr].reshape(-1, dim), env.lo, env.hi)
-        free = ~hit.reshape(j.shape[0], k).any(axis=1)
+        free = rows_segment_feasible(coords_arr[j], coords_arr[nbr], env)
         edges_arr = np.stack([j[free], nbr[free]], axis=1)
         neighbors: List[List[int]] = [[] for _ in range(coords_arr.shape[0])]
         for a, b in edges_arr.tolist():

@@ -1,27 +1,27 @@
 """Lattice-tree generation: grow a rooted tree from the current configuration
 toward the target, expanding the lowest-potential vertex first and admitting
-only candidates that pass all revealed constraints.
+only moves that pass all revealed constraints.
 
 Every vertex carries an integer lattice key.  The root's is all zeros; a
-move's key is its parent's key +-1 on each moved axis, so no key is ever
-rounded from floats.  The unexpanded vertices sit in a heap of
-(potential, id), which gives the lowest potential first and the lowest id
-on ties.
+move's key is its parent's key plus the move's key step, +-1 on each moved
+axis, so no key is ever rounded from floats.  The unexpanded vertices sit in
+a heap of (potential, id), which gives the lowest potential first and the
+lowest id on ties.
 
-The main loop admits the 2n axis moves of its vertices in blocks.  A block
-is every vertex inserted since the last one; it is prepared when the loop
-pops the first vertex at or past the prepared range.  One numpy pass builds
-the moves of the whole block and tests the workspace bounds, the revealed
-box interiors and the moving robot's segment (the other robots do not move,
-and a zero-length segment crosses a box exactly when its point lies inside
-it), and computes every move's potential; for a formation, one more pass
-over the moves that passed tests the band at the end point, the band over
-the motion and the sampled robot-to-robot links (`rows_formation_feasible`).
-These depend only on the environment, which is fixed while a tree grows, so
-a vertex expanded later only looks its moves' keys up.  The trap escapes
-admit a vertex's whole candidate list in one such pass (`admit_candidates`).
+Moves come from one generator, `group_steps`: each group of robots steps
+together by one pitch along one workspace axis; single robots give the 2n
+axis moves.  One conjunction, `admit_rows`, admits a batch of moves: the
+bounds and the revealed box interiors at the end point, then every robot's
+segment or, for a formation, `rows_formation_feasible` (the band at the end
+point and over the motion, the sampled robot-to-robot links and the
+segments).  `MoveBlocks` runs it over the moves of many vertices in passes
+of at most `_ADMIT_ROWS` moves and keeps every move's verdict and
+potential.  These depend only on the environment, which is fixed while a
+tree grows, so expanding a vertex later only looks its moves' keys up.  The
+main loop prepares every vertex inserted since its last block; a restricted
+escape search prepares each vertex it expands, with its own moves.
 `candidate_admissible` and `candidate_open` are the per-candidate oracles
-both are tested against.
+the batched tests are checked against.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,13 +39,13 @@ from .environment import KnownEnvironment
 from .errors import ResourceLimitError
 from .geometry import (as_config, distance, formation_segment_feasible, multi_robot_feasible,
                        point_feasible, rows_formation_feasible, rows_multi_robot_feasible,
-                       rows_point_feasible, rows_segment_feasible, segments_hit_boxes)
+                       rows_point_feasible, rows_segment_feasible)
 
 _TARGET_SNAP = 1e-12
+_ADMIT_ROWS = 1024  # moves per admission pass
 
 Key = Tuple[int, ...]
-Candidate = Tuple[np.ndarray, Key]  # a move's coordinates and lattice key
-Admitted = Tuple[np.ndarray, Key, float]  # ... plus its potential
+Admitted = Tuple[np.ndarray, Key, float]  # a move's coordinates, lattice key and potential
 
 
 @dataclass
@@ -190,109 +190,96 @@ def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
     return ok
 
 
-def admit_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
-                     env: KnownEnvironment, cfg: GenConfig) -> List[Admitted]:
-    """The candidates from vertex vid that `candidate_admissible` admits,
-    with their potentials, tested in one pass."""
-    fresh = [c for c in candidates if c[1] not in g.key_map]
-    if not fresh:
-        return []
-    q = np.array([q for q, _ in fresh])
-    a = np.broadcast_to(g._xy[vid], q.shape)
+def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment,
+               cfg: GenConfig) -> np.ndarray:
+    """`candidate_admissible` of each move from row a[r] to row q[r] (N, n),
+    the key test aside: the end point and every robot's segment or, for a
+    formation, `rows_formation_feasible` on the rows whose end point passes."""
     ok = rows_point_feasible(q, env)
     band = _band(env)
     if band is None:
-        ok &= rows_segment_feasible(a, q, env)
-    elif ok.any():
-        idx = np.flatnonzero(ok)
-        ok[idx] = rows_formation_feasible(a[idx], q[idx], env, *band, cfg.link_step,
-                                          segments=True)
-    d = q - g.target
-    pot = np.sqrt(np.vecdot(d, d))  # bit-identical to distance()
-    return [(c, key, p) for (c, key), good, p in zip(fresh, ok.tolist(), pot.tolist()) if good]
+        return ok & rows_segment_feasible(a, q, env)
+    idx = np.flatnonzero(ok)
+    ok[idx] = rows_formation_feasible(a[idx], q[idx], env, *band, cfg.link_step, segments=True)
+    return ok
 
 
-def axis_candidates(g: SearchGraph, vid: int) -> List[Candidate]:
-    """The 2n lattice moves from a vertex, in deterministic axis order."""
-    v, key = g.coords[vid], g.keys[vid]
-    out = []
-    for axis in range(g.n):
-        for sign in (1, -1):
-            q = v.copy()
-            q[axis] += sign * g.step
-            out.append((q, key[:axis] + (key[axis] + sign,) + key[axis + 1:]))
-    return out
+def group_steps(groups: Sequence[Sequence[int]], dim: int, n: int) -> np.ndarray:
+    """The key steps (M, n) that translate each robot group by one pitch
+    along each workspace axis, in (group, axis, +/-) order.  Singleton
+    groups give the 2n axis moves, axis by axis."""
+    steps = np.zeros((len(groups), dim, n), dtype=int)
+    for i, group in enumerate(groups):
+        for r in group:
+            steps[i, :, r * dim:(r + 1) * dim] = np.eye(dim, dtype=int)
+    return np.stack([steps, -steps], axis=2).reshape(-1, n)
 
 
-class AxisBlocks:
-    """Block-admission results for the axis moves of every vertex below
-    `prepared`, by vertex id: move 2a + s of a vertex steps axis a by +step
-    (s = 0) or -step (s = 1), as `axis_candidates` orders them.  `passed`
-    holds whether a move is in bounds, outside every revealed box and not
-    crossing one and, for a formation, passes `rows_formation_feasible`;
-    `pot` holds its potential."""
+def move_rows(v: np.ndarray, steps: np.ndarray, step: float) -> np.ndarray:
+    """The moves `steps` (M, n) from each configuration row of v (N, n),
+    shaped (N, M, n).  A moved coordinate is v[c] +- step; the others keep
+    v's floats (adding 0.0 would turn -0.0 into 0.0)."""
+    q = v[:, None, :] + step * steps
+    np.copyto(q, v[:, None, :], where=steps == 0)
+    return q
 
-    def __init__(self, n: int, dim: int):
+
+class MoveBlocks:
+    """Admission results of the moves `steps` (M, n) by vertex id:
+    `passed[v, m]` holds whether move m of vertex v passes `admit_rows` and
+    the optional row mask `keep`, `pot[v, m]` its potential.  `prepared` is
+    one past the highest id prepared."""
+
+    def __init__(self, steps: np.ndarray, keep=None):
+        self.steps = steps
+        self.keep = keep
         self.prepared = 0
-        self.passed = np.empty((64, 2 * n), dtype=bool)
-        self.pot = np.empty((64, 2 * n), dtype=float)
-        self._axes = np.arange(n)
-        self._moves = np.arange(2 * n)
-        self._movers = self._moves // (2 * dim)  # the robot each move moves
+        self.passed = np.empty((64, len(steps)), dtype=bool)
+        self.pot = np.empty((64, len(steps)), dtype=float)
+        # Per move, its moved coordinates and their signs.
+        self._moves = [[(c, d) for c, d in enumerate(s) if d] for s in steps.tolist()]
 
-    def prepare(self, g: SearchGraph, env: KnownEnvironment, cfg: GenConfig) -> None:
-        """Test the moves of the vertices [prepared, g.count) in one pass."""
-        first, last = self.prepared, g.count
-        if last > self.passed.shape[0]:
+    def prepare(self, g: SearchGraph, first: int, last: int, env: KnownEnvironment,
+                cfg: GenConfig) -> None:
+        """Test the moves of the vertices [first, last) in passes of at most
+        `_ADMIT_ROWS` moves, which bound the kernels' work arrays."""
+        m = len(self.steps)
+        if last > len(self.pot):
             size = 1 << (last - 1).bit_length()
-            self.passed = np.resize(self.passed, (size, 2 * g.n))
-            self.pot = np.resize(self.pot, (size, 2 * g.n))
-        # The rows are zero-padded to a power of two, so the temporaries
-        # below come in few sizes: numpy keeps freed buffers under 1 kB in a
-        # cache per size, and blocks of every size filled it with about
-        # 0.3 MB more on sealed rooms.
-        b, n, dim = last - first, g.n, env.dim
-        v = np.zeros((1 << (b - 1).bit_length(), n))
-        v[:b] = g.coords[first:last]
-        rows, axes, moves, movers = len(v), self._axes, self._moves, self._movers
-        # The same floats as axis_candidates: v[axis] + sign * step.
-        q = np.repeat(v[:, None, :], 2 * n, axis=1)  # (rows, 2n, n)
-        q[:, moves[0::2], axes] = v + g.step
-        q[:, moves[1::2], axes] = v - g.step
-        passed = rows_point_feasible(q.reshape(-1, n), env).reshape(rows, 2 * n)
-        pos = q.reshape(rows, 2 * n, -1, dim)  # robot positions
-        # Only the moving robot's segment can cross a box the points miss.
-        start = v.reshape(rows, -1, dim)[:, movers]
-        end = pos[:, moves, movers]
-        passed &= ~segments_hit_boxes(start.reshape(-1, dim), end.reshape(-1, dim),
-                                      env.lo, env.hi).reshape(rows, 2 * n)
-        band = _band(env)
-        if band is not None:
-            idx = np.flatnonzero(passed[:b])  # move r * 2n + m of block row r
-            passed.flat[idx] = rows_formation_feasible(
-                v[idx // (2 * n)], q.reshape(-1, n)[idx], env, *band, cfg.link_step)
-        d = q - g.target
-        self.passed[first:last] = passed[:b]
-        self.pot[first:last] = np.sqrt(np.vecdot(d, d))[:b]  # bit-identical to distance()
-        self.prepared = last
+            self.passed = np.resize(self.passed, (size, m))
+            self.pot = np.resize(self.pot, (size, m))
+        per = max(_ADMIT_ROWS // m, 1)
+        for s in range(first, last, per):
+            rows = slice(s, min(s + per, last))
+            v = g._xy[rows]
+            q = move_rows(v, self.steps, g.step).reshape(-1, g.n)
+            ok = admit_rows(np.repeat(v, m, axis=0), q, env, cfg)
+            if self.keep is not None:
+                ok &= self.keep(q)
+            d = q - g.target
+            self.passed[rows] = ok.reshape(-1, m)
+            self.pot[rows] = np.sqrt(np.vecdot(d, d)).reshape(-1, m)  # bit-identical to distance()
+        self.prepared = max(self.prepared, last)
 
-
-def block_admitted(g: SearchGraph, vid: int, blocks: AxisBlocks) -> List[Admitted]:
-    """The axis moves of a prepared vertex that are admitted now: passed by
-    its block and unvisited."""
-    v, key = g._xy[vid], g.keys[vid]
-    out = []
-    for move, (ok, p) in enumerate(zip(blocks.passed[vid].tolist(), blocks.pot[vid].tolist())):
-        if not ok:
-            continue
-        axis, sign = move >> 1, 1 - 2 * (move & 1)
-        qkey = key[:axis] + (key[axis] + sign,) + key[axis + 1:]
-        if qkey in g.key_map:
-            continue
-        q = v.copy()
-        q[axis] += sign * g.step
-        out.append((q, qkey, p))
-    return out
+    def admitted(self, g: SearchGraph, vid: int) -> List[Admitted]:
+        """The moves of a prepared vertex that are admitted now: passed when
+        prepared and unvisited, in move order."""
+        v, key, step = g._xy[vid], g.keys[vid], g.step
+        out = []
+        for moved, ok, p in zip(self._moves, self.passed[vid].tolist(), self.pot[vid].tolist()):
+            if not ok:
+                continue
+            k = list(key)
+            for c, sign in moved:
+                k[c] += sign
+            qkey = tuple(k)
+            if qkey in g.key_map:
+                continue
+            q = v.copy()
+            for c, sign in moved:
+                q[c] += sign * step
+            out.append((q, qkey, p))
+        return out
 
 
 def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenConfig) -> bool:
@@ -301,19 +288,13 @@ def target_linkable(g: SearchGraph, vid: int, env: KnownEnvironment, cfg: GenCon
         g.coords[vid], g.target, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
 
 
-def insert_candidates(g: SearchGraph, vid: int, candidates: List[Candidate],
-                      env: KnownEnvironment, cfg: GenConfig) -> List[int]:
-    """Admit, insert and target-link a batch of candidates from vertex vid."""
-    return insert_admitted(g, vid, admit_candidates(g, vid, candidates, env, cfg), env, cfg)
-
-
 def insert_admitted(g: SearchGraph, vid: int, admitted: List[Admitted],
                     env: KnownEnvironment, cfg: GenConfig) -> List[int]:
     """Insert admitted moves from vertex vid and target-link the first new
     vertex that can be."""
     if g.count + len(admitted) > cfg.max_vertices:
         raise ResourceLimitError(
-            f"vertex budget {cfg.max_vertices} exceeded during graph generation")
+            f"vertex budget {cfg.max_vertices} exceeded during graph generation", graph=g)
     new_ids = []
     for q, key, p in admitted:
         qid = g.insert(q, p, vid, key)
@@ -352,16 +333,16 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
 
     from . import trap_escape  # deferred: trap_escape builds on this module
 
-    blocks = AxisBlocks(g.n, env.dim)
+    blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n))
     used_traps: set = set()
     while g.target_id is None:
         vid = g.argmin_unexpanded()
         if vid is None:
             return g
         if vid >= blocks.prepared:
-            blocks.prepare(g, env, cfg)
+            blocks.prepare(g, blocks.prepared, g.count, env, cfg)
         base_pot = g.potential_of(vid)
-        new_ids = insert_admitted(g, vid, block_admitted(g, vid, blocks), env, cfg)
+        new_ids = insert_admitted(g, vid, blocks.admitted(g, vid), env, cfg)
         g.mark_expanded(vid)
         if g.target_id is not None:
             break

@@ -12,7 +12,7 @@ import numpy as np
 from .environment import GroundTruth, KnownEnvironment, distance_to_revealed, sense
 from .errors import ModelViolationError, ResourceLimitError
 from .geometry import (as_config, box_distances, distance, edge_lengths, point_feasible,
-                       robot_pairs, segment_hits_box, segments_hit_boxes)
+                       robot_pairs, rows_point_feasible, segment_hits_box, segments_hit_boxes)
 from .graph import GenConfig, SearchGraph, generate_graph
 from .pathfind import GraphPath, backtrace
 from .trap_escape import TrapEscapePolicy
@@ -179,9 +179,7 @@ def move_along(path: GraphPath, known: KnownEnvironment,
         reach = min(event, stop_at)
         if event <= stop_at:
             known = sense(known, samples[event])
-        pos = samples[i + 1:reach + 1].reshape(-1, 1, known.dim)  # (robot positions, 1, dim)
-        if ((pos < known.bounds_lo).any() or (pos > known.bounds_hi).any()
-                or ((known.lo < pos) & (pos < known.hi)).all(axis=-1).any()):
+        if not rows_point_feasible(samples[i + 1:reach + 1], known).all():
             raise ModelViolationError("robot discovered inside an obstacle while moving")
         i = reach
         if event > stop_at:
@@ -228,7 +226,8 @@ def plan(truth: GroundTruth, start, target, cfg: PlannerConfig) -> PlanResult:
             break
         try:
             g = generate_graph(x_c, target, known, gencfg, escape=cfg.escape)
-        except ResourceLimitError:
+        except ResourceLimitError as exc:
+            trees.append(exc.graph)
             status = "resource-limit"
             break
         trees.append(g)

@@ -2,17 +2,17 @@
 
 Two modes: hug the revealed obstacle boundary (single or multi robot), or
 freeze the formation shape and move it rigidly (multi robot).  Both run one
-restricted search over a pool of vertices, expanding with the mode's
-candidates until some vertex near the pool's top has a feasible, unvisited,
+restricted search over a pool of vertices, expanding with the mode's moves
+until some vertex near the pool's top has a feasible, unvisited,
 lower-potential neighbor; then control returns to the unrestricted
-expansion loop.
+expansion loop.  Each search admits its moves (axis moves masked to the
+obstacle shell, or rigid group translations) through a `graph.MoveBlocks`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
 from math import sqrt
 from typing import List, Sequence, Set, Tuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .environment import KnownEnvironment, distance_to_revealed
 from .geometry import box_distances
-from .graph import (Candidate, GenConfig, SearchGraph, axis_candidates, insert_candidates,
+from .graph import (GenConfig, MoveBlocks, SearchGraph, group_steps, insert_admitted, move_rows,
                     open_rows)
 
 _TIE = 1e-9
@@ -49,22 +49,22 @@ def _near_top(g: SearchGraph, pool: Sequence[int]) -> List[int]:
 
 
 def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
-                   moves_of, closed: Set[int]) -> bool:
-    """Some pool vertex near the top has an open lower-potential move.  A
-    vertex found with none joins `closed` and is skipped from then on: while
-    `env` is fixed and `g.key_map` only grows, a closed move stays closed.
-    The unvisited moves of every vertex not yet closed are tested in one
-    pass; the vertices before the first one with an open move are closed,
-    as a vertex-by-vertex walk closes them."""
+                   steps: np.ndarray, closed: Set[int]) -> bool:
+    """Some pool vertex near the top has an open lower-potential move among
+    `steps`.  A vertex found with none joins `closed` and is skipped from
+    then on: while `env` is fixed and `g.key_map` only grows, a closed move
+    stays closed.  The moves of every vertex not yet closed are tested in
+    one pass; the vertices before the first one with an open move are
+    closed, as a vertex-by-vertex walk closes them."""
     todo = [v for v in _near_top(g, pool) if v not in closed]
-    fresh = [(n, q) for n, v in enumerate(todo) for q, key in moves_of(v)
-             if key not in g.key_map]
-    if fresh:
-        owner = np.array([n for n, _ in fresh])
-        q = np.array([q for _, q in fresh])
+    if todo:
+        q = move_rows(g.coords[todo], steps, g.step).reshape(-1, g.n)
+        keys = (np.array([g.keys[v] for v in todo])[:, None, :] + steps).reshape(-1, g.n)
+        owner = np.repeat(np.arange(len(todo)), len(steps))
         d = q - g.target
         # A move's potential is bit-identical to distance(q, g.target).
         good = np.sqrt(np.vecdot(d, d)) < g.potentials[todo][owner]
+        good &= [tuple(k) not in g.key_map for k in keys.tolist()]
         idx = np.flatnonzero(good)
         good[idx] = open_rows(q[idx], env)
         found = owner[good]
@@ -75,32 +75,31 @@ def _in_escape_set(g: SearchGraph, pool: Sequence[int], env: KnownEnvironment,
     return False
 
 
-def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], moves_of,
-                       candidates_of, env: KnownEnvironment,
-                       cfg: GenConfig) -> Tuple[List[int], bool, bool]:
+def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], blocks: MoveBlocks,
+                       env: KnownEnvironment, cfg: GenConfig) -> Tuple[List[int], bool, bool]:
     """Expand the lowest-potential pool vertex not yet `done` (lowest id on
-    ties) with `candidates_of(v)`, adding what it admits to the pool, until
-    the escape set is reached, the target is linked or the pool is exhausted.
+    ties) with the moves of `blocks`, adding what they admit to the pool,
+    until the escape set is reached, the target is linked or the pool is
+    exhausted.
 
     Returns the added ids and whether the search escaped or was exhausted."""
     added: List[int] = []
     frontier = [(g.potential_of(v), v) for v in pool if v not in done]
     heapq.heapify(frontier)
     closed: Set[int] = set()
-    escaped = _in_escape_set(g, pool, env, moves_of, closed)
-    while not escaped:
+    while not _in_escape_set(g, pool, env, blocks.steps, closed):
         if not frontier:
             return added, False, True
         _, vid = heapq.heappop(frontier)
-        new_ids = insert_candidates(g, vid, candidates_of(vid), env, cfg)
+        blocks.prepare(g, vid, vid + 1, env, cfg)
+        new_ids = insert_admitted(g, vid, blocks.admitted(g, vid), env, cfg)
         pool.extend(new_ids)
         added.extend(new_ids)
         if g.target_id is not None:
-            break
+            return added, False, False
         for i in new_ids:
             heapq.heappush(frontier, (g.potential_of(i), i))
-        escaped = _in_escape_set(g, pool, env, moves_of, closed)
-    return added, escaped, False
+    return added, True, False
 
 
 def _clearances(configs, env: KnownEnvironment) -> np.ndarray:
@@ -111,20 +110,15 @@ def _clearances(configs, env: KnownEnvironment) -> np.ndarray:
 
 def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
                          cfg: GenConfig) -> List[int]:
-    """Wall-hugging escape: admit only candidates within epsilon of a revealed
+    """Wall-hugging escape: admit only axis moves within epsilon of a revealed
     obstacle, where epsilon is taken at the trap vertex (floored at step/2)."""
     eps = max(distance_to_revealed(g.coords[trap], env), 0.5 * g.step)
     pool = np.flatnonzero(_clearances(g.coords, env) <= eps).tolist()
-    done = {v for v in pool if g.is_expanded(v)}  # their candidates were all tried
-
-    def near_moves(v):
-        cands = axis_candidates(g, v)
-        return [c for c, d in zip(cands, _clearances([q for q, _ in cands], env))
-                if d <= eps]
-
+    done = {v for v in pool if g.is_expanded(v)}  # their moves were all tried
+    steps = group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n)
+    blocks = MoveBlocks(steps, keep=lambda q: _clearances(q, env) <= eps)
     # An exhausted shell falls back to unrestricted expansion.
-    added, escaped, relaxed = _restricted_search(
-        g, pool, done, partial(axis_candidates, g), near_moves, env, cfg)
+    added, escaped, relaxed = _restricted_search(g, pool, done, blocks, env, cfg)
     g.escape_log.append({"mode": "near-obstacle", "trap": trap, "epsilon": eps,
                          "added": len(added), "new_ids": list(added),
                          "escaped": escaped, "fallback": relaxed})
@@ -155,23 +149,6 @@ def _components(k: int, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
     return [comps[r] for r in sorted(comps)]
 
 
-def _group_moves(g: SearchGraph, vid: int, comps: Sequence[Sequence[int]],
-                 dim: int) -> List[Candidate]:
-    """Translate one rigid group by one lattice step per workspace axis."""
-    v, key = g.coords[vid], g.keys[vid]
-    out = []
-    for comp in comps:
-        for axis in range(dim):
-            for sign in (1, -1):
-                q = v.copy()
-                k = list(key)
-                for r in comp:
-                    q[r * dim + axis] += sign * g.step
-                    k[r * dim + axis] += sign
-                out.append((q, tuple(k)))
-    return out
-
-
 def _shape_matches(g: SearchGraph, ref: np.ndarray,
                    pairs: Sequence[Tuple[int, int]], dim: int) -> np.ndarray:
     """Per vertex, whether every constrained robot pair keeps its offset in `ref`."""
@@ -198,9 +175,9 @@ def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
     added: List[int] = []
     relaxations = 0
     while True:
-        moves = partial(_group_moves, g, comps=_components(k, active), dim=dim)
+        blocks = MoveBlocks(group_steps(_components(k, active), dim, g.n))
         pool = np.flatnonzero(_shape_matches(g, ref, active, dim)).tolist()
-        new_ids, escaped, _ = _restricted_search(g, pool, set(), moves, moves, env, cfg)
+        new_ids, escaped, _ = _restricted_search(g, pool, set(), blocks, env, cfg)
         added.extend(new_ids)
         if relaxations == 0:
             rigid_ids = new_ids  # added before any constraint was relaxed

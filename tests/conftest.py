@@ -60,11 +60,12 @@ def make_sealed(seed: int):
     return truth, np.array([0.08, 0.08]), c
 
 
-def make_corridor(k: int, step: float = 0.04):
-    """Straight corridor wide enough for a vertical k-robot file."""
+def make_corridor(k: int, step: float = 0.04, dmax: float = 0.13):
+    """Straight corridor wide enough for a vertical k-robot file; a file of
+    more than three robots needs a wider band than the default."""
     walls = [lp.ObstaclePrimitive.box([0.25, 0.0], [0.75, 0.33]),
              lp.ObstaclePrimitive.box([0.25, 0.67], [0.75, 1.0])]
-    dmin, dmax = (0.03, 0.13) if k > 1 else (None, None)
+    dmin, dmax = (0.03, dmax) if k > 1 else (None, None)
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], walls, dmin=dmin, dmax=dmax)
     ys = [0.5 - 0.06 * (k - 1) / 2 + 0.06 * i for i in range(k)]
     start = np.array([[0.1, y] for y in ys]).ravel()
@@ -72,13 +73,13 @@ def make_corridor(k: int, step: float = 0.04):
     return truth, start, target
 
 
-def make_deadend(k: int = 2):
+def make_deadend(k: int = 2, dmax: float = 0.13):
     """C-shaped pocket opening toward the start; a vertical file of k robots
     0.06 apart (0.47 and 0.53 for two)."""
     prims = [lp.ObstaclePrimitive.box([0.55, 0.28], [0.61, 0.72]),
              lp.ObstaclePrimitive.box([0.33, 0.28], [0.55, 0.34]),
              lp.ObstaclePrimitive.box([0.33, 0.66], [0.55, 0.72])]
-    truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims, dmin=0.03, dmax=0.13)
+    truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims, dmin=0.03, dmax=dmax)
     ys = [0.5 + 0.06 * (i - (k - 1) / 2) for i in range(k)]
     start = np.array([[0.12, y] for y in ys]).ravel()
     target = np.array([[0.88, y] for y in ys]).ravel()

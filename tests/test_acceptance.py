@@ -210,17 +210,25 @@ def test_fixed_shape_escape_halves_vertex_count():
 
 # -- 10. sub-exponential dimensional scaling ------------------------------
 
+def _corridor_vertices(k: int, dmax: float = 0.13) -> int:
+    truth, start, target = make_corridor(k, dmax=dmax)
+    res = lp.plan(truth, start, target, lp.PlannerConfig(step=0.04, sensing_radius=0.1))
+    assert res.status == "success"
+    return sum(s.graph.count for s in res.segments)
+
+
 def test_vertex_growth_is_sub_exponential():
-    totals = {}
-    for k in (1, 2, 3):
-        truth, start, target = make_corridor(k)
-        res = lp.plan(truth, start, target,
-                      lp.PlannerConfig(step=0.04, sensing_radius=0.1))
-        assert res.status == "success"
-        totals[2 * k] = sum(s.graph.count for s in res.segments)
+    totals = {2 * k: _corridor_vertices(k) for k in (1, 2, 3)}
     r62 = totals[6] / totals[2]
     r42 = totals[4] / totals[2]
     assert r62 < r42 ** 3, f"{r62} !< {r42 ** 3}"
+    # Up to 12-D: a longer file needs a wider band, dmax = 0.06k + 0.01
+    # (0.13 for two robots).  Each two more dimensions multiply the tree by
+    # less than the two before did; an exponential would keep the factor.
+    wide = {4: totals[4]}
+    wide.update({2 * k: _corridor_vertices(k, 0.06 * k + 0.01) for k in range(3, 7)})
+    ratios = [wide[n + 2] / wide[n] for n in range(4, 12, 2)]
+    assert all(b < a for a, b in zip(ratios, ratios[1:])), (wide, ratios)
 
 
 # -- 11. determinism ------------------------------------------------------

@@ -32,6 +32,21 @@ def lattice_key(x, g: SearchGraph):
     return tuple(int(v) for v in rounded)
 
 
+def step_moves(g: SearchGraph, vid: int, steps):
+    """The (coordinates, key) of the moves `steps` (M, n) from a vertex, one
+    by one: each moved coordinate steps by +-step, the key by +-1."""
+    out = []
+    for s in np.asarray(steps).tolist():
+        q = g.coords[vid].copy()
+        key = list(g.keys[vid])
+        for c, d in enumerate(s):
+            if d:
+                q[c] += d * g.step
+                key[c] += d
+        out.append((q, tuple(key)))
+    return out
+
+
 def argmin_unexpanded_scan(g: SearchGraph):
     """The masked O(V) scan the frontier heap replaced: the unexpanded vertex
     of lowest potential, the lowest id on ties."""
@@ -258,27 +273,46 @@ def _block_runs():
     return runs
 
 
+def test_group_steps_and_move_rows_on_literals():
+    assert graph.group_steps([[0], [1]], 2, 4).tolist() == [
+        [1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0],
+        [0, 0, 1, 0], [0, 0, -1, 0], [0, 0, 0, 1], [0, 0, 0, -1]]
+    assert graph.group_steps([[0, 1]], 2, 4).tolist() == [
+        [1, 0, 1, 0], [-1, 0, -1, 0], [0, 1, 0, 1], [0, -1, 0, -1]]
+    assert graph.group_steps([[0, 2], [1]], 1, 3).tolist() == [
+        [1, 0, 1], [-1, 0, -1], [0, 1, 0], [0, -1, 0]]
+    assert graph.group_steps([[0]], 1, 1).tolist() == [[1], [-1]]
+    v = np.array([[-0.0, 0.5], [0.25, 0.75]])
+    q = graph.move_rows(v, graph.group_steps([[0]], 2, 2), 0.25)
+    assert q.tolist() == [[[0.25, 0.5], [-0.25, 0.5], [-0.0, 0.75], [-0.0, 0.25]],
+                          [[0.5, 0.75], [0.0, 0.75], [0.25, 1.0], [0.25, 0.5]]]
+    assert np.signbit(q[0, 2:, 0]).all()  # an unmoved -0.0 stays -0.0
+
+
 def test_block_admission_equals_candidate_admissible(monkeypatch):
-    """At every main-loop expansion, the block's admitted moves are those
-    `candidate_admissible` admits from the same vertex, with the same keys
-    and coordinates.  Per move, the block's flag equals the point, segment
-    and, for a formation, band and motion oracles, and its potential equals
-    `distance` to the target exactly."""
-    block_admitted, prepare = graph.block_admitted, graph.AxisBlocks.prepare
-    seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0}
+    """At every expansion, of the main loop and of the escapes, the block's
+    admitted moves are those `candidate_admissible` (and the escape's mask)
+    admits from the same vertex, with the same keys and coordinates.  Per
+    move, the block's flag equals the point, segment and, for a formation,
+    band and motion oracles, and its potential equals `distance` to the
+    target exactly."""
+    admitted, prepare = graph.MoveBlocks.admitted, graph.MoveBlocks.prepare
+    seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0,
+            "8-D": 0}
     tree = {}
 
-    def capturing_prepare(blocks, g, env, cfg):
+    def capturing_prepare(blocks, g, first, last, env, cfg):
         tree.update(env=env, cfg=cfg)  # fixed while one tree grows
-        return prepare(blocks, g, env, cfg)
+        return prepare(blocks, g, first, last, env, cfg)
 
-    def checked(g, vid, blocks):
+    def checked(blocks, g, vid):
         env, cfg = tree["env"], tree["cfg"]
         dmin, dmax = env.truth.dmin, env.truth.dmax
-        got = block_admitted(g, vid, blocks)
-        moves = graph.axis_candidates(g, vid)
-        want = [(q, key) for q, key in moves
-                if graph.candidate_admissible(g, vid, q, key, env, cfg)]
+        got = admitted(blocks, g, vid)
+        moves = step_moves(g, vid, blocks.steps)
+        kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
+        want = [(q, key) for (q, key), ok in zip(moves, kept)
+                if ok and graph.candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         v = g.coords[vid]
@@ -288,7 +322,7 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
             in_band = dmin is None or dmax is None or (
                 multi_robot_feasible(q, env, dmin, dmax)
                 and formation_motion_feasible(v, q, env, dmin, dmax, cfg.link_step))
-            assert blocks.passed[vid, move] == (on_segment and in_band)
+            assert blocks.passed[vid, move] == (kept[move] and on_segment and in_band)
             assert blocks.pot[vid, move] == lp.distance(q, g.target)
             seen["segment-only"] += on_point and not on_segment
             seen["formation-only"] += on_segment and not in_band
@@ -297,14 +331,38 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
                 ((env.lo <= pos) & (pos <= env.hi)).all(axis=-1).any())
         assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
         seen["expansions"] += 1
+        seen["8-D"] += g.n == 8
         return got
 
-    monkeypatch.setattr(graph.AxisBlocks, "prepare", capturing_prepare)
-    monkeypatch.setattr(graph, "block_admitted", checked)
-    for name, truth, start, target, cfg in _block_runs():
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", capturing_prepare)
+    monkeypatch.setattr(graph.MoveBlocks, "admitted", checked)
+    runs = _block_runs()
+    truth, start, target = make_corridor(4, dmax=0.25)
+    runs.append(("corridor-4", truth, start, target,
+                 lp.PlannerConfig(step=0.04, sensing_radius=0.12)))
+    for name, truth, start, target, cfg in runs:
         res = lp.plan(truth, start, target, cfg)
         want = "no-feasible-path" if name.startswith("sealed") else "success"
         assert res.status == want, name
-    assert seen["expansions"] > 3000
+    assert seen["expansions"] > 3000 and seen["8-D"] > 50, seen
     assert seen["segment-only"] > 0 and seen["on-face"] > 0, seen
     assert seen["formation-only"] > 0, seen
+
+
+def test_admission_memory_stays_bounded_on_large_blocks():
+    """The 6-D dead end without escape, capped at 10,000 vertices, grows
+    blocks of thousands of vertices; admission passes of a bounded number of
+    moves keep the peak of traced allocations far below what one pass over
+    a whole block takes (187 MB)."""
+    import tracemalloc
+
+    truth, start, target = make_deadend(3, dmax=0.19)
+    cfg = lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=10_000)
+    tracemalloc.start()
+    try:
+        res = lp.plan(truth, start, target, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "resource-limit"
+    assert peak < 64 * 2**20, f"{peak / 2**20:.0f} MB"

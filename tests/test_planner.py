@@ -88,10 +88,18 @@ def test_no_path_metrics_count_the_exhausted_tree():
 
 
 def test_resource_limit_status():
+    """The tree that hits the vertex budget is counted in the metrics."""
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [])
     cfg = PlannerConfig(step=0.02, sensing_radius=0.1, max_vertices=30)
     res = plan(truth, [0.1, 0.1], [0.9, 0.9], cfg)
     assert res.status == "resource-limit"
+    known = lp.sense(lp.KnownEnvironment.initial(truth, 0.1), np.array([0.1, 0.1]))
+    with pytest.raises(lp.ResourceLimitError) as exc:
+        lp.generate_graph([0.1, 0.1], [0.9, 0.9], known, cfg.gen_config())
+    tree = exc.value.graph
+    assert 30 - 4 < tree.count <= 30 and tree.target_id is None
+    assert res.metrics["num_graphs"] == 1
+    assert res.metrics["max_vertices"] == res.metrics["avg_vertices"] == tree.count
 
 
 def test_infeasible_start_raises():

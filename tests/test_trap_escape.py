@@ -9,12 +9,16 @@ import latticeplan as lp
 from latticeplan import graph, trap_escape
 from latticeplan.environment import distance_to_revealed
 from latticeplan.geometry import point_feasible, segment_feasible
-from latticeplan.graph import (GenConfig, axis_candidates, candidate_admissible, candidate_open,
-                               generate_graph, insert_candidates)
+from latticeplan.graph import (GenConfig, candidate_admissible, candidate_open, generate_graph,
+                               group_steps, move_rows)
 from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
-from test_graph import lattice_key
+from test_graph import lattice_key, step_moves
+
+
+def _axis_steps(k, dim=2):
+    return group_steps([[r] for r in range(k)], dim, k * dim)
 
 
 def _pocket_world():
@@ -148,91 +152,111 @@ def _near_top_loop(g, pool):
     return [x for x in pool if not lp.distance(g.coords[x], g.coords[y]) > radius]
 
 
-def _in_escape_set_loop(g, pool, env, moves_of):
+def _in_escape_set_loop(g, pool, env, steps):
     if not pool:
         return False
     for x in _near_top_loop(g, pool):
         p_x = g.potential_of(x)
-        for q, _ in moves_of(x):
+        for q, _ in step_moves(g, x, steps):
             if lp.distance(q, g.target) < p_x and candidate_open(g, q, lattice_key(q, g), env):
                 return True
     return False
 
 
-def _restricted_search_scan(g, pool, done, moves_of, candidates_of, env, cfg):
+def _restricted_search_scan(g, pool, done, blocks, env, cfg):
     """The search the heap replaced: scan the whole pool for its lowest
-    vertex not yet done, and test every near-top move after every step."""
+    vertex not yet done, admit its moves one by one with
+    `candidate_admissible`, and test every near-top move after every step."""
     added = []
-    escaped = _in_escape_set_loop(g, pool, env, moves_of)
+    escaped = _in_escape_set_loop(g, pool, env, blocks.steps)
     while not escaped:
         frontier = [v for v in pool if v not in done]
         if not frontier:
             return added, False, True
         vid = min(frontier, key=lambda v: (g.potential_of(v), v))
-        new_ids = insert_candidates(g, vid, candidates_of(vid), env, cfg)
+        admitted = [(q, key, lp.distance(q, g.target))
+                    for q, key in step_moves(g, vid, blocks.steps)
+                    if (blocks.keep is None or blocks.keep(q[None])[0])
+                    and candidate_admissible(g, vid, q, key, env, cfg)]
+        new_ids = graph.insert_admitted(g, vid, admitted, env, cfg)
         done.add(vid)
         pool.extend(new_ids)
         added.extend(new_ids)
         if g.target_id is not None:
             break
-        escaped = _in_escape_set_loop(g, pool, env, moves_of)
+        escaped = _in_escape_set_loop(g, pool, env, blocks.steps)
     return added, escaped, False
 
 
-def _in_escape_set_walk(g, pool, env, moves_of, closed):
+def _in_escape_set_walk(g, pool, env, steps, closed):
     """The vertex-by-vertex walk: each near-top vertex not yet closed is
     tested move by move with `candidate_open`, and closed when none opens."""
     for v in trap_escape._near_top(g, pool):
         if v not in closed:
             if any(lp.distance(q, g.target) < g.potential_of(v)
-                   and candidate_open(g, q, key, env) for q, key in moves_of(v)):
+                   and candidate_open(g, q, key, env) for q, key in step_moves(g, v, steps)):
                 return True
             closed.add(v)
     return False
 
 
 def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
-    """In both escape modes, with 2 and 3 robots, every batched admission
-    admits the candidates `candidate_admissible` admits, with the same
-    keys, coordinates and potentials (`==`), and every batched escape-set
-    test answers and closes as the per-move walk does."""
-    admit, in_escape_set = graph.admit_candidates, trap_escape._in_escape_set
-    seen = {"admissions": 0, "formation-only": 0, "escape-sets": 0, "closed-then-open": 0}
+    """In both escape modes, with 2, 3 and 4 robots, every batched admission
+    admits the moves `candidate_admissible` (and the wall-hugging mask)
+    admits, with the same keys, coordinates and potentials (`==`), and every
+    batched escape-set test answers and closes as the per-move walk does."""
+    admitted, in_escape_set = graph.MoveBlocks.admitted, trap_escape._in_escape_set
+    seen = {"group-moves": 0, "masked": 0, "formation-only": 0, "escape-sets": 0,
+            "closed-then-open": 0}
+    tree = {}
 
-    def checked_admit(g, vid, candidates, env, cfg):
-        got = admit(g, vid, candidates, env, cfg)
-        want = [(q, key) for q, key in candidates
-                if candidate_admissible(g, vid, q, key, env, cfg)]
+    def checked_admitted(blocks, g, vid):
+        env, cfg = tree["env"], tree["cfg"]
+        got = admitted(blocks, g, vid)
+        moves = step_moves(g, vid, blocks.steps)
+        kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
+        want = [(q, key) for (q, key), ok in zip(moves, kept)
+                if ok and candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
         v = g.coords[vid]
         seen["formation-only"] += sum(
             key not in g.key_map and point_feasible(q, env) and segment_feasible(v, q, env)
-            and not candidate_admissible(g, vid, q, key, env, cfg) for q, key in candidates)
-        seen["admissions"] += 1
+            and not candidate_admissible(g, vid, q, key, env, cfg) for q, key in moves)
+        seen["group-moves"] += bool((np.count_nonzero(blocks.steps, axis=1) > 1).any())
+        seen["masked"] += blocks.keep is not None
         return got
 
-    def checked_in_escape_set(g, pool, env, moves_of, closed):
+    def checked_in_escape_set(g, pool, env, steps, closed):
         walked = set(closed)
-        want = _in_escape_set_walk(g, pool, env, moves_of, walked)
+        want = _in_escape_set_walk(g, pool, env, steps, walked)
         before = len(closed)
-        got = in_escape_set(g, pool, env, moves_of, closed)
+        got = in_escape_set(g, pool, env, steps, closed)
         assert got == want and closed == walked
         seen["escape-sets"] += 1
         seen["closed-then-open"] += got and len(closed) > before
         return got
 
-    monkeypatch.setattr(graph, "admit_candidates", checked_admit)
+    prepare = graph.MoveBlocks.prepare
+
+    def capturing_prepare(blocks, g, first, last, env, cfg):
+        tree.update(env=env, cfg=cfg)
+        return prepare(blocks, g, first, last, env, cfg)
+
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", capturing_prepare)
+    monkeypatch.setattr(graph.MoveBlocks, "admitted", checked_admitted)
     monkeypatch.setattr(trap_escape, "_in_escape_set", checked_in_escape_set)
     for k, step, mode in ((2, 0.04, "fixed-shape"), (3, 0.06, "fixed-shape"),
-                          (2, 0.08, "near-obstacle"), (3, 0.08, "near-obstacle")):
-        truth, start, target = make_deadend(k)
+                          (4, 0.04, "fixed-shape"), (2, 0.08, "near-obstacle"),
+                          (3, 0.08, "near-obstacle")):
+        truth, start, target = make_deadend(k, dmax=0.25 if k == 4 else 0.13)
         res = lp.plan(truth, start, target, lp.PlannerConfig(
             step=step, sensing_radius=0.12, escape=TrapEscapePolicy(mode=mode)))
         assert res.status == "success"
         assert any(s.graph.escape_log for s in res.segments), (k, mode)
-    assert seen["admissions"] > 500 and seen["escape-sets"] > 500, seen
+    assert seen["group-moves"] > 500 and seen["masked"] > 100, seen
+    assert seen["escape-sets"] > 500, seen
     assert seen["formation-only"] > 0 and seen["closed-then-open"] > 0, seen
 
 
@@ -312,11 +336,10 @@ def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
     rng = np.random.default_rng(7)
     compared = escaping = skipped = 0
     for g, env, k in grown_trees:
-        move_sets = [lambda v, g=g: axis_candidates(g, v)]
+        move_sets = [_axis_steps(k)]
         if k > 1:
             comps = trap_escape._components(k, trap_escape._all_pairs(k))
-            move_sets.append(lambda v, g=g, comps=comps:
-                             trap_escape._group_moves(g, v, comps, 2))
+            move_sets.append(group_steps(comps, 2, g.n))
         closed_sets = [set() for _ in move_sets]
         for pool in _ascending_pools(g, rng):
             assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
@@ -335,19 +358,20 @@ def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
 
 def test_parent_keys_equal_rounded_keys_on_escape_moves(grown_trees):
     """Axis and group moves carry their parent's key +-1 on each moved axis:
-    the key rounded from the move's coordinates."""
+    the key rounded from the move's coordinates, which `move_rows` builds
+    as the move-by-move oracle does."""
     checked = 0
     for g, _, k in grown_trees:
-        comps = trap_escape._components(k, trap_escape._all_pairs(k))
-        singles = [[r] for r in range(k)]
+        step_sets = [_axis_steps(k), group_steps(trap_escape._components(
+            k, trap_escape._all_pairs(k)), 2, g.n)]
         for v in range(0, g.count, 7):
             if g.keys[v] is None:
                 continue
-            moves = (axis_candidates(g, v) + trap_escape._group_moves(g, v, comps, 2)
-                     + trap_escape._group_moves(g, v, singles, 2))
-            for q, key in moves:
-                assert key == lattice_key(q, g)
-                checked += 1
+            for steps in step_sets:
+                rows = move_rows(g.coords[[v]], steps, g.step)[0]
+                for q, (w, key) in zip(rows, step_moves(g, v, steps)):
+                    assert key == lattice_key(q, g) and q.tobytes() == w.tobytes()
+                    checked += 1
     assert checked > 1000
 
 
