@@ -16,7 +16,9 @@ configurations (N, n), or of moves given as start and end rows, in one
 numpy pass; the scalar functions they mirror stay as their oracles.  Norms
 are `sqrt(vecdot)`, which sums the squares as the one-vector
 `np.linalg.norm` and `np.dot` do, so every distance and every decision is
-bit-identical to the scalar test's.
+bit-identical to the scalar test's.  `rows_formation_feasible` builds link
+samples only for the moves whose clearance box, the box spanned by every
+robot position at both ends, meets a revealed box; the others cannot hit one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
+
+_MARGIN = 1e-9  # relative widening of a clearance box, far above rounding error
 
 
 def as_config(x) -> np.ndarray:
@@ -289,9 +293,15 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     `segments`, also `segment_feasible(a[r], b[r])`.
 
     The band over the motion takes each pair's convex-quadratic minimum as
-    `_pair_distance_band_over_motion` does.  The links at b, the link
-    samples of every row still in the band and, with `segments`, every
-    robot's own segment go through one slab test."""
+    `_pair_distance_band_over_motion` does.  A row still in the band whose
+    clearance box meets a revealed box then sends its links at b, its link
+    samples and, with `segments`, every robot's own segment through one slab
+    test; the other rows pass.  That is exact: every segment tested has both
+    endpoints in the clearance box, as a sample `start + t * (pb - start)`
+    lies within a few ulps of the hull of its endpoints, and
+    `segments_hit_boxes` finds no hit for a segment whose endpoints lie on or
+    beyond one face plane of a box, since rounded subtraction and division
+    are monotone."""
     rows, dim = b.shape[0], env.dim
     pa = _rows_robots(a, dim)
     pb = _rows_robots(b, dim)
@@ -306,9 +316,18 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     d1 = _norms(r1)
     ok = ~((d1 < dmin) | (d1 > dmax) | (_norms(r0) > dmax)
            | (_norms(r0 + t[..., None] * dr) < dmin)).any(axis=1)
+    # A row whose clearance box (every robot position at a and b, widened by
+    # _MARGIN) is apart from every box along some axis passes unsampled.
+    idx = np.flatnonzero(ok)
+    hull = np.concatenate([pa[idx], pb[idx]], axis=1)  # (N', 2k, d)
+    lo, hi = hull.min(axis=1), hull.max(axis=1)
+    lo = lo - _MARGIN * (1.0 + np.abs(lo))
+    hi = hi + _MARGIN * (1.0 + np.abs(hi))
+    idx = idx[((lo[:, None] < env.hi) & (env.lo < hi[:, None])).all(axis=-1).any(axis=1)]
+    if idx.shape[0] == 0:
+        return ok
     # Link samples along the motion at link_step, as in
     # formation_motion_feasible: sample m of a row with s steps sits at m / s.
-    idx = np.flatnonzero(ok)
     steps = np.maximum(np.ceil(_norms(a[idx] - b[idx]) / link_step), 1.0).astype(int)
     row = np.repeat(idx, steps + 1)
     m = np.arange(row.shape[0]) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
@@ -318,8 +337,8 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     starts, ends = [pos[:, i].reshape(-1, dim)], [pos[:, j].reshape(-1, dim)]
     owner = [np.repeat(np.concatenate([idx, row]), len(i))]
     if segments:
-        starts.append(a.reshape(-1, dim))
-        ends.append(b.reshape(-1, dim))
-        owner.append(np.repeat(np.arange(rows), k))
+        starts.append(pa[idx].reshape(-1, dim))
+        ends.append(pb[idx].reshape(-1, dim))
+        owner.append(np.repeat(idx, k))
     return ok & ~_owners_blocked(np.concatenate(starts), np.concatenate(ends),
                                  np.concatenate(owner), env, rows)

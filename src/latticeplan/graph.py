@@ -19,7 +19,8 @@ of at most `_ADMIT_ROWS` moves and keeps every move's verdict and
 potential.  These depend only on the environment, which is fixed while a
 tree grows, so expanding a vertex later only looks its moves' keys up.  The
 main loop prepares every vertex inserted since its last block; a restricted
-escape search prepares each vertex it expands, with its own moves.
+escape search, with its own moves, prepares a vertex from before the search
+alone and the vertices it added in blocks the same way.
 `candidate_admissible` and `candidate_open` are the per-candidate oracles
 the batched tests are checked against.
 

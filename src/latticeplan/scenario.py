@@ -158,25 +158,25 @@ def validate_scenario(sc: Scenario, lines: Optional[Dict[str, int]] = None) -> N
         raise ScenarioError("missing start")
     if sc.target is None:
         raise ScenarioError("missing target")
-    if sc.start.shape[0] != sc.dim * sc.robots:
-        raise ScenarioError("start length does not match dim * robots")
-    if sc.target.shape[0] != sc.dim * sc.robots:
-        raise ScenarioError("target length does not match dim * robots")
+    for name in ("start", "target"):
+        if getattr(sc, name).shape[0] != sc.dim * sc.robots:
+            raise ScenarioError(f"{name} length does not match dim * robots", lines.get(name))
     if sc.robots > 1:
         if sc.dmin is None or sc.dmax is None:
-            raise ScenarioError("multi-robot scenarios need dmin and dmax")
+            raise ScenarioError("multi-robot scenarios need dmin and dmax", lines.get("robots"))
         if not (0 <= sc.dmin < sc.dmax):
-            raise ScenarioError("need 0 <= dmin < dmax")
+            raise ScenarioError("need 0 <= dmin < dmax",
+                                lines.get("dmin" if sc.dmin < 0 else "dmax"))
     elif sc.escape == "fixed-shape":
         raise ScenarioError("escape fixed-shape needs robots 2 or more", lines.get("escape"))
     if not (0.0 < sc.stop_fraction < 1.0):
-        raise ScenarioError("stop_fraction must lie in (0, 1)")
+        raise ScenarioError("stop_fraction must lie in (0, 1)", lines.get("stop_fraction"))
     truth = sc.ground_truth()
     full = KnownEnvironment.initial(truth, sc.sensing_radius).fully_revealed()
     for name, q in (("start", sc.start), ("target", sc.target)):
         if not point_feasible(q, full):
             raise ScenarioError(f"{name} is infeasible in the ground-truth "
-                                "environment")
+                                "environment", lines.get(name))
         if sc.dmin is not None and sc.dmax is not None and not multi_robot_feasible(
                 q, full, sc.dmin, sc.dmax):
             raise ScenarioError(f"{name} has a robot pair outside [dmin, dmax] or a "

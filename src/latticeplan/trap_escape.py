@@ -6,7 +6,9 @@ restricted search over a pool of vertices, expanding with the mode's moves
 until some vertex near the pool's top has a feasible, unvisited,
 lower-potential neighbor; then control returns to the unrestricted
 expansion loop.  Each search admits its moves (axis moves masked to the
-obstacle shell, or rigid group translations) through a `graph.MoveBlocks`.
+obstacle shell, or rigid group translations) through a `graph.MoveBlocks`,
+preparing a vertex from before the search alone and the vertices it added
+in blocks.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], blocks: 
 
     Returns the added ids and whether the search escaped or was exhausted."""
     added: List[int] = []
+    start = g.count  # the search adds the ids from here on
     frontier = [(g.potential_of(v), v) for v in pool if v not in done]
     heapq.heapify(frontier)
     closed: Set[int] = set()
@@ -91,7 +94,10 @@ def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], blocks: 
         if not frontier:
             return added, False, True
         _, vid = heapq.heappop(frontier)
-        blocks.prepare(g, vid, vid + 1, env, cfg)
+        if vid < start:
+            blocks.prepare(g, vid, vid + 1, env, cfg)
+        elif vid >= blocks.prepared:
+            blocks.prepare(g, max(blocks.prepared, start), g.count, env, cfg)
         new_ids = insert_admitted(g, vid, blocks.admitted(g, vid), env, cfg)
         pool.extend(new_ids)
         added.extend(new_ids)

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import latticeplan as lp
+from latticeplan import geometry
 from latticeplan.environment import distance_to_revealed, sense
 from latticeplan.geometry import (formation_motion_feasible, formation_segment_feasible,
                                   multi_robot_feasible, point_feasible, rows_formation_feasible,
@@ -173,22 +174,17 @@ def test_obstacle_queries_equal_per_box_loops(world):
 LINK_STEP = 1 / 16
 
 
-@st.composite
-def formation_batches(draw):
-    """A batch of formation moves (a, b), each (N, n): 2-D or 3-D, 2-4
-    robots, 0-6 boxes on a 1/8 grid (the empty set included) plus thin
-    off-grid ones, and start rows on a 1/8 grid or off it.  The moves step
-    one coordinate by 1/8, translate the whole formation (every pair's
-    motion has zero length), translate one robot, or move at random, with
-    some lengths scaled to land within a few ulps below, on or above a
-    whole number of link steps."""
-    dim = draw(st.sampled_from([2, 3]))
-    k = draw(st.integers(2, 4))
+def formation_batch(rng, dim: int, k: int, nbox: int, thin: int):
+    """A batch of formation moves (a, b), each (N, n): k robots in dim
+    dimensions, nbox boxes on a 1/8 grid plus `thin` off-grid ones, and
+    start rows on a 1/8 grid or off it.  The moves step one coordinate by
+    1/8, translate the whole formation (every pair's motion has zero
+    length), translate one robot, or move at random, with some lengths
+    scaled to land within a few ulps below, on or above a whole number of
+    link steps."""
     n = k * dim
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    nbox = draw(st.integers(0, 6))
     corners = list(np.sort(rng.integers(0, 9, (nbox, 2, dim)), axis=1) / 8)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(thin):
         lo = rng.uniform(0, 0.9, dim)
         hi = lo + rng.uniform(0.005, 0.4, dim)
         hi[rng.integers(dim)] = lo[rng.integers(dim)] + rng.uniform(0.001, 0.02)
@@ -220,6 +216,16 @@ def formation_batches(draw):
     return env, a, a + move
 
 
+@st.composite
+def formation_batches(draw):
+    """`formation_batch` in 2-D or 3-D, with 2-4 robots and 0-6 grid boxes
+    (the empty set included) plus 0-2 thin ones."""
+    dim = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return formation_batch(rng, dim, k, draw(st.integers(0, 6)), draw(st.integers(0, 2)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(formation_batches())
 def test_batched_formation_kernel_equals_scalar_tests(batch):
@@ -244,3 +250,63 @@ def test_batched_formation_kernel_equals_scalar_tests(batch):
         assert rows_formation_feasible(a[keep], b[keep], env, dmin, dmax,
                                        LINK_STEP).tolist() == [want[r] for r in keep]
         assert rows_formation_feasible(a[:0], b[:0], env, dmin, dmax, LINK_STEP).shape == (0,)
+
+
+def test_formation_kernel_slab_tests_only_rows_near_a_box(monkeypatch):
+    """On batches with boxes, some rows in the band pass the clearance test
+    without a slab test and others reach it, and every answer equals the
+    scalar tests."""
+    owners_blocked, reached = geometry._owners_blocked, []
+
+    def counting(starts, ends, owner, env, rows):
+        reached.append(owner)
+        return owners_blocked(starts, ends, owner, env, rows)
+
+    monkeypatch.setattr(geometry, "_owners_blocked", counting)
+    clear = tested = 0
+    for seed in range(40):
+        env, a, b = formation_batch(np.random.default_rng(seed), 2 + seed % 2, 2 + seed % 3,
+                                    1 + seed % 4, seed % 3)
+        for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
+            reached.clear()
+            got = rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP, segments=True)
+            assert got.tolist() == [formation_segment_feasible(x, y, env, dmin, dmax, LINK_STEP)
+                                    and multi_robot_feasible(y, env, dmin, dmax)
+                                    for x, y in zip(a, b)]
+            slabbed = set(np.concatenate(reached).tolist()) if reached else set()
+            clear += len(set(np.flatnonzero(got).tolist()) - slabbed)
+            tested += len(slabbed)
+    assert clear > 0 and tested > 0, (clear, tested)
+
+
+def test_formation_kernel_clearance_literals():
+    """Two robots 1/2 apart moving along x.  A box that only a mid-motion
+    link sample crosses, or only a robot's own segment, rejects the move
+    though the box spanned by either end alone is clear of it; boxes whose
+    faces the clearance box touches exactly admit it."""
+    def env_of(*boxes):
+        truth = lp.GroundTruth.create(2, np.zeros(2), np.ones(2),
+                                      [lp.ObstaclePrimitive.box(lo, hi) for lo, hi in boxes])
+        return lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
+
+    def admits(a, b, env, segments):
+        a, b = np.array([a]), np.array([b])
+        got = bool(rows_formation_feasible(a, b, env, 1 / 4, 1.0, LINK_STEP, segments)[0])
+        want = multi_robot_feasible(b[0], env, 1 / 4, 1.0) and (
+            formation_segment_feasible if segments else formation_motion_feasible)(
+                a[0], b[0], env, 1 / 4, 1.0, LINK_STEP)
+        assert got == want
+        return got
+
+    a = [0.0, 1 / 4, 0.0, 3 / 4]
+    across = [1.0, 1 / 4, 1.0, 3 / 4]  # link samples at x = m / 23
+    mid_link = env_of(([3 / 8, 3 / 8], [5 / 8, 5 / 8]))
+    assert not admits(a, across, mid_link, False)
+    assert not admits(a, across, mid_link, True)
+    short = [1 / 8, 1 / 4, 1 / 8, 3 / 4]  # link samples at x = 0, 1/24, 1/12, 1/8
+    own_segment = env_of(([3 / 64, 3 / 16], [5 / 64, 5 / 16]))
+    assert admits(a, short, own_segment, False)
+    assert not admits(a, short, own_segment, True)
+    faces = env_of(([1 / 8, 0.0], [1 / 2, 1.0]), ([0.0, 3 / 4], [1 / 8, 1.0]),
+                   ([-1 / 2, 0.0], [0.0, 1.0]))
+    assert admits(a, short, faces, True)

@@ -129,6 +129,28 @@ def test_start_or_target_outside_band_rejected(name, line, value):
     assert f"{name} has a robot pair outside [dmin, dmax]" in str(exc.value)
 
 
+MOVED_ROBOTS = GOOD.replace("robots 2\n", "").replace(
+    "start 0.1 0.47 0.1 0.53\ntarget 0.9 0.47 0.9 0.53\n", "start 0.1 0.47\ntarget 0.9 0.47\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (GOOD.replace("dmin 0.03", "dmin -0.01"), 11, "need 0 <= dmin < dmax"),
+    (GOOD.replace("dmax 0.13", "dmax 0.02"), 12, "need 0 <= dmin < dmax"),
+    (GOOD + "stop_fraction 1.5\n", 13, "stop_fraction must lie in (0, 1)"),
+    (MOVED_ROBOTS + "robots 2\n", 4, "start length does not match dim * robots"),
+    (MOVED_ROBOTS.replace("start 0.1 0.47\ntarget 0.9 0.47\n",
+                          "target 0.9 0.47\nrobots 2\nstart 0.1 0.47 0.1 0.53\n"), 4,
+     "target length does not match dim * robots"),
+    (GOOD.replace("dmin 0.03\ndmax 0.13\n", ""), 3, "multi-robot scenarios need dmin and dmax"),
+    (GOOD.replace("start 0.1 0.47 0.1 0.53", "start 0.3 0.1 0.3 0.16"), 5,
+     "start is infeasible in the ground-truth environment"),
+])
+def test_validation_errors_report_the_directive_line(text, line, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert message in str(exc.value) and exc.value.line == line
+
+
 def test_start_with_blocked_link_rejected():
     """Both robots stand outside every box, 0.06 apart, but a thin box
     between them blocks their link; an unknown box counts, as the check is

@@ -329,6 +329,38 @@ def test_restricted_search_equals_pool_scan(monkeypatch):
     assert all(any(log != "[]" for _, log, _ in trees) for trees in got)
 
 
+def test_restricted_search_prepares_added_vertices_in_blocks(monkeypatch):
+    """A restricted search prepares a vertex from before the search alone
+    and the vertices it added in blocks from the search's first id on, some
+    block covering more than one vertex, in both escape modes."""
+    search, prepare = trap_escape._restricted_search, graph.MoveBlocks.prepare
+    state, spans = {}, []
+
+    def tracking_search(g, pool, done, blocks, env, cfg):
+        state.update(start=g.count, blocks=blocks)
+        try:
+            return search(g, pool, done, blocks, env, cfg)
+        finally:
+            del state["blocks"]
+
+    def recording_prepare(blocks, g, first, last, env, cfg):
+        if state.get("blocks") is blocks:
+            spans.append((first, last, state["start"]))
+        return prepare(blocks, g, first, last, env, cfg)
+
+    monkeypatch.setattr(trap_escape, "_restricted_search", tracking_search)
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", recording_prepare)
+    for step, mode in ((0.04, "fixed-shape"), (0.08, "near-obstacle")):
+        spans.clear()
+        truth, start, target = make_deadend(2)
+        assert lp.plan(truth, start, target, lp.PlannerConfig(
+            step=step, sensing_radius=0.12, escape=TrapEscapePolicy(mode=mode))).status == \
+            "success"
+        assert all(last == first + 1 if first < begin else first < last
+                   for first, last, begin in spans), mode
+        assert max(last - first for first, last, _ in spans) > 1, mode
+
+
 def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
     """The escape-set test equals the loop over every near-top move, also
     when it skips the vertices an earlier call found closed: on a fixed tree
