@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,3 +123,12 @@ def distance_to_revealed(x, known: KnownEnvironment) -> float:
     (infinite when none is revealed)."""
     d = box_distances(known.robot_positions(x), known.lo, known.hi)
     return float(d.min(initial=np.inf))
+
+
+def clearances(configs, known: KnownEnvironment, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """`distance_to_revealed` of each configuration row of `configs` (N, n),
+    in one pass; given `rows` of `known.lo` and `known.hi`, the distance to
+    those boxes only."""
+    lo, hi = (known.lo, known.hi) if rows is None else (known.lo[rows], known.hi[rows])
+    pos = np.reshape(configs, (len(configs), -1, known.dim))
+    return box_distances(pos, lo, hi).min(axis=(1, 2), initial=np.inf)

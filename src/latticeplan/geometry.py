@@ -7,18 +7,22 @@ workspace: its interior is infeasible, its boundary feasible.  An
 environment snapshot holds its revealed boxes as (P, d) corner arrays `lo`
 and `hi`, and each test below reads them in one call: `box_distances` for
 distances, one point-in-box expression for positions, and the slab test
-`segments_hit_boxes` for many segments at once.  A single segment goes
-through the scalar `segment_hits_box`, which is also the oracle the batched
-kernels are tested against.
+`segments_hit_boxes` for many segments at once.  The slab test answers per
+box and segment; its callers reduce over the boxes, and the planner's
+motion check also reads which boxes block.  The scalar `segment_hits_box`
+runs only in the scalar tests below, which validate scenario files and are
+the oracles the batched kernels are tested against; `planner` does not
+call it.
 
 The `rows_*` functions answer a scalar test for every row of a batch of
 configurations (N, n), or of moves given as start and end rows, in one
 numpy pass; the scalar functions they mirror stay as their oracles.  Norms
 are `sqrt(vecdot)`, which sums the squares as the one-vector
 `np.linalg.norm` and `np.dot` do, so every distance and every decision is
-bit-identical to the scalar test's.  `rows_formation_feasible` builds link
-samples only for the moves whose clearance box, the box spanned by every
-robot position at both ends, meets a revealed box; the others cannot hit one.
+bit-identical to the scalar test's.  `rows_formation_feasible` also tests
+every robot's own segment, and builds link samples and slab-tests only the
+moves whose clearance box, the box spanned by every robot position at both
+ends, meets a revealed box; the others cannot hit one.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
     """Vectorized open-box slab test.
 
     starts/ends: (N, d) segment endpoints; lo/hi: (P, d) box corners.
-    Returns a boolean (N,) array: segment crosses the interior of any box.
+    Returns a boolean (P, N) array: segment n crosses the interior of box p.
 
     An axis along which a segment does not move divides by zero: strictly
     inside the slab its entry and exit are -inf and +inf (the whole line),
@@ -144,7 +148,7 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
     """
     n = starts.shape[0]
     if n == 0 or lo.shape[0] == 0:
-        return np.zeros(n, dtype=bool)
+        return np.zeros((lo.shape[0], n), dtype=bool)
     a = np.ascontiguousarray(starts.T)[:, None, :]  # (d, 1, N)
     d = np.ascontiguousarray(ends.T)[:, None, :] - a
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,7 +156,7 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
         tb = (hi.T[:, :, None] - a) / d
     t0 = np.maximum(np.minimum(ta, tb).max(axis=0), 0.0)
     t1 = np.minimum(np.maximum(ta, tb).min(axis=0), 1.0)
-    return np.any(t1 > t0, axis=0)
+    return t1 > t0
 
 
 def point_feasible(x, env) -> bool:
@@ -262,7 +266,7 @@ def rows_segment_feasible(a: np.ndarray, b: np.ndarray, env) -> np.ndarray:
     """`segment_feasible` of each move from row a[r] to row b[r], every
     robot's segment in one slab test."""
     dim = env.dim
-    hit = segments_hit_boxes(a.reshape(-1, dim), b.reshape(-1, dim), env.lo, env.hi)
+    hit = segments_hit_boxes(a.reshape(-1, dim), b.reshape(-1, dim), env.lo, env.hi).any(axis=0)
     return ~hit.reshape(a.shape[0], a.shape[1] // dim).any(axis=1)
 
 
@@ -271,7 +275,7 @@ def _owners_blocked(starts: np.ndarray, ends: np.ndarray, owner: np.ndarray, env
     """Per row r < rows, whether some segment starts[m] -> ends[m] (M, d)
     with owner[m] == r crosses a box, in one slab test."""
     blocked = np.zeros(rows, dtype=bool)
-    blocked[owner[segments_hit_boxes(starts, ends, env.lo, env.hi)]] = True
+    blocked[owner[segments_hit_boxes(starts, ends, env.lo, env.hi).any(axis=0)]] = True
     return blocked
 
 
@@ -287,21 +291,20 @@ def rows_multi_robot_feasible(x: np.ndarray, env, dmin: float, dmax: float) -> n
 
 
 def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax: float,
-                            link_step: float, segments: bool = False) -> np.ndarray:
-    """Per move from row a[r] to row b[r] (N, n): `multi_robot_feasible(b[r])
-    and formation_motion_feasible(a[r], b[r])`, the band being set; with
-    `segments`, also `segment_feasible(a[r], b[r])`.
+                            link_step: float) -> np.ndarray:
+    """Per move from row a[r] to row b[r] (N, n): `segment_feasible(a[r], b[r])
+    and multi_robot_feasible(b[r]) and formation_motion_feasible(a[r], b[r])`,
+    the band being set.
 
     The band over the motion takes each pair's convex-quadratic minimum as
     `_pair_distance_band_over_motion` does.  A row still in the band whose
     clearance box meets a revealed box then sends its links at b, its link
-    samples and, with `segments`, every robot's own segment through one slab
-    test; the other rows pass.  That is exact: every segment tested has both
-    endpoints in the clearance box, as a sample `start + t * (pb - start)`
-    lies within a few ulps of the hull of its endpoints, and
-    `segments_hit_boxes` finds no hit for a segment whose endpoints lie on or
-    beyond one face plane of a box, since rounded subtraction and division
-    are monotone."""
+    samples and every robot's own segment through one slab test; the other
+    rows pass.  That is exact: every segment tested has both endpoints in the
+    clearance box, as a sample `start + t * (pb - start)` lies within a few
+    ulps of the hull of its endpoints, and `segments_hit_boxes` finds no hit
+    for a segment whose endpoints lie on or beyond one face plane of a box,
+    since rounded subtraction and division are monotone."""
     rows, dim = b.shape[0], env.dim
     pa = _rows_robots(a, dim)
     pb = _rows_robots(b, dim)
@@ -334,11 +337,7 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     start = pa[row]
     pos = np.concatenate([pb[idx], start + (m / np.repeat(steps, steps + 1))[:, None, None]
                           * (pb[row] - start)])
-    starts, ends = [pos[:, i].reshape(-1, dim)], [pos[:, j].reshape(-1, dim)]
-    owner = [np.repeat(np.concatenate([idx, row]), len(i))]
-    if segments:
-        starts.append(pa[idx].reshape(-1, dim))
-        ends.append(pb[idx].reshape(-1, dim))
-        owner.append(np.repeat(idx, k))
-    return ok & ~_owners_blocked(np.concatenate(starts), np.concatenate(ends),
-                                 np.concatenate(owner), env, rows)
+    starts = np.concatenate([pos[:, i].reshape(-1, dim), pa[idx].reshape(-1, dim)])
+    ends = np.concatenate([pos[:, j].reshape(-1, dim), pb[idx].reshape(-1, dim)])
+    owner = np.concatenate([np.repeat(np.concatenate([idx, row]), len(i)), np.repeat(idx, k)])
+    return ok & ~_owners_blocked(starts, ends, owner, env, rows)

@@ -201,7 +201,7 @@ def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment,
     if band is None:
         return ok & rows_segment_feasible(a, q, env)
     idx = np.flatnonzero(ok)
-    ok[idx] = rows_formation_feasible(a[idx], q[idx], env, *band, cfg.link_step, segments=True)
+    ok[idx] = rows_formation_feasible(a[idx], q[idx], env, *band, cfg.link_step)
     return ok
 
 

@@ -1,5 +1,12 @@
 """The replanning loop: generate a tree, extract the path, move along it
 while sensing, stop short of newly revealed obstacles, repeat.
+
+The walk resamples the path in one numpy pass.  Its blocking check is one
+slab test (`segments_hit_boxes`) over every remaining motion, which gives
+both the first blocked sample and the boxes that block it; one clearance
+pass to those boxes then gives the stop sample and its clearance.  None of
+the three loops over boxes, samples or edges in Python, and the scalar
+`segment_hits_box` is not called here.
 """
 
 from __future__ import annotations
@@ -9,10 +16,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .environment import GroundTruth, KnownEnvironment, distance_to_revealed, sense
+from .environment import GroundTruth, KnownEnvironment, clearances, distance_to_revealed, sense
 from .errors import ModelViolationError, ResourceLimitError
 from .geometry import (as_config, box_distances, distance, edge_lengths, point_feasible,
-                       robot_pairs, rows_point_feasible, segment_hits_box, segments_hit_boxes)
+                       robot_pairs, rows_point_feasible, segments_hit_boxes)
 from .graph import GenConfig, SearchGraph, generate_graph
 from .pathfind import GraphPath, backtrace
 from .trap_escape import TrapEscapePolicy
@@ -69,61 +76,48 @@ def densify(polyline: List[np.ndarray], step: float,
             lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Resample a polyline into (M, n) samples at most `step` apart.
 
-    Original vertices are kept exactly (the last sample of each edge is the
-    edge endpoint itself).  `lengths` are the polyline's `edge_lengths`,
-    computed here when not given.
+    An edge of length L > 0 gives m = max(ceil(L / step), 1) samples
+    `a + (j / m) * (b - a)`, j = 1..m, whose last is the endpoint b itself,
+    so original vertices are kept exactly; a zero-length edge gives none.
+    `lengths` are the polyline's `edge_lengths`, computed here when not given.
     """
+    points = np.asarray(polyline)
     if lengths is None:
-        lengths = edge_lengths(np.asarray(polyline))
-    rows = [polyline[0]]
-    for a, b, length in zip(polyline, polyline[1:], lengths.tolist()):
-        if length == 0.0:
-            continue
-        m = max(int(np.ceil(length / step)), 1)
-        rows += [a + (np.arange(1, m)[:, None] / m) * (b - a), b]
-    return np.vstack(rows)
+        lengths = edge_lengths(points)
+    m = np.where(lengths > 0.0, np.maximum(np.ceil(lengths / step), 1.0), 0.0).astype(int)
+    edge = np.repeat(np.arange(m.shape[0]), m)  # the edge of each sample after the first
+    j = np.arange(1, edge.shape[0] + 1) - np.repeat(np.cumsum(m) - m, m)
+    a, b = points[:-1][edge], points[1:][edge]
+    out = a + (j / m[edge])[:, None] * (b - a)
+    last = j == m[edge]
+    out[last] = b[last]
+    return np.concatenate([points[:1], out])
 
 
 def _first_blocking_index(samples: np.ndarray, start: int,
-                          known: KnownEnvironment) -> Optional[int]:
-    """Smallest j >= start such that the motion past sample j is infeasible.
+                          known: KnownEnvironment) -> Tuple[Optional[int], np.ndarray]:
+    """Smallest j >= start such that the motion past sample j is infeasible,
+    and the rows of `known.lo`/`hi` of the boxes that make it so; None and
+    no rows when every remaining motion is feasible.
 
     One slab test covers every remaining inter-sample segment of every robot
     and, for several robots, every robot-to-robot link at the sample after
-    each segment.
+    each segment; its per-box answers name the blocking boxes.
     """
     remaining = np.asarray(samples[start:])
     if remaining.shape[0] < 2:
-        return None
+        return None, np.zeros(0, dtype=int)
     dim = known.dim
     positions = remaining.reshape(remaining.shape[0], -1, dim)  # (samples, k, dim)
     i, j = robot_pairs(positions.shape[1])
     starts = np.concatenate([positions[:-1], positions[1:, i]], axis=1)
     ends = np.concatenate([positions[1:], positions[1:, j]], axis=1)
-    hit = segments_hit_boxes(starts.reshape(-1, dim), ends.reshape(-1, dim),
-                             known.lo, known.hi)
-    idx = np.flatnonzero(hit.reshape(starts.shape[:2]).any(axis=1))
+    hit = segments_hit_boxes(starts.reshape(-1, dim), ends.reshape(-1, dim), known.lo, known.hi)
+    hit = hit.reshape(-1, *starts.shape[:2]).any(axis=2)  # (boxes, segments)
+    idx = np.flatnonzero(hit.any(axis=0))
     if idx.size == 0:
-        return None
-    return start + int(idx[0])
-
-
-def _blocking_rows(a: np.ndarray, b: np.ndarray, known: KnownEnvironment) -> List[int]:
-    """Rows of the revealed boxes responsible for the segment a -> b being
-    infeasible (crossed per robot, or cutting a robot link at b)."""
-    pa = known.robot_positions(a)
-    pb = known.robot_positions(b)
-    i, j = robot_pairs(len(pb))
-    segments = list(zip(pa, pb)) + list(zip(pb[i], pb[j]))
-    return [r for r, (lo, hi) in enumerate(zip(known.lo, known.hi))
-            if any(segment_hits_box(s, e, lo, hi) for s, e in segments)]
-
-
-def _clearance_to(x: np.ndarray, rows: List[int], known: KnownEnvironment) -> float:
-    if not rows:
-        return distance_to_revealed(x, known)
-    d = box_distances(known.robot_positions(x), known.lo[rows], known.hi[rows])
-    return float(d.min())
+        return None, np.zeros(0, dtype=int)
+    return start + int(idx[0]), np.flatnonzero(hit[:, idx[0]])
 
 
 def _reveal_events(samples: np.ndarray, known: KnownEnvironment) -> List[int]:
@@ -164,18 +158,15 @@ def move_along(path: GraphPath, known: KnownEnvironment,
     i = 0
     end = len(samples) - 1
     for event in _reveal_events(samples, known) + [end + 1]:  # end + 1: no more events
-        jb = _first_blocking_index(samples, i, known)
-        stop_at, blockers = end, []  # blockers: rows of known.lo/hi
+        jb, blockers = _first_blocking_index(samples, i, known)
+        stop_at = end
         if jb is not None:
-            blockers = _blocking_rows(samples[jb], samples[jb + 1], known)
-            threshold = cfg.stop_fraction * known.sensing_radius
-            stop_at = i
             # Clearance is measured to the boxes that cut the path:
             # earlier walls may legally sit closer than the stop band.
-            for j in range(jb, i - 1, -1):
-                if _clearance_to(samples[j], blockers, known) >= threshold:
-                    stop_at = j
-                    break
+            c = clearances(samples[i:jb + 1], known, blockers)
+            safe = np.flatnonzero(c >= cfg.stop_fraction * known.sensing_radius)
+            stop_at = i + int(safe[-1]) if safe.size else i
+            clearance = float(c[stop_at - i])
         reach = min(event, stop_at)
         if event <= stop_at:
             known = sense(known, samples[event])
@@ -185,10 +176,11 @@ def move_along(path: GraphPath, known: KnownEnvironment,
         if event > stop_at:
             break
 
-    status = "blocked" if jb is not None and i < end else "reached-target"
-    clearance = (_clearance_to(samples[i], blockers, known) if status == "blocked"
-                 else distance_to_revealed(samples[i], known))
-    out = MotionOutcome(traversed=list(samples[:i + 1]), status=status,
+    if jb is None:
+        clearance = distance_to_revealed(samples[i], known)
+    # A blocked walk stops at or before its blocking sample jb < end.
+    out = MotionOutcome(traversed=list(samples[:i + 1]),
+                        status="reached-target" if jb is None else "blocked",
                         stop_point=samples[i], stop_clearance=clearance)
     return out, known
 

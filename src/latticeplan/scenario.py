@@ -183,27 +183,3 @@ def validate_scenario(sc: Scenario, lines: Optional[Dict[str, int]] = None) -> N
                                 "robot-to-robot link crossing a box in the ground-truth "
                                 "environment", lines.get(name))
 
-
-def serialize_scenario(sc: Scenario) -> str:
-    """Inverse of parse_scenario up to formatting; stable %.10g numbers."""
-    def fmt(vals) -> str:
-        return " ".join(f"{float(v):.10g}" for v in np.atleast_1d(vals))
-
-    lines = [f"dim {sc.dim}", f"robots {sc.robots}",
-             f"workspace {fmt(sc.workspace_lo)} {fmt(sc.workspace_hi)}",
-             f"start {fmt(sc.start)}", f"target {fmt(sc.target)}"]
-    for lo, hi, known in sc.obstacles:
-        suffix = " known" if known else ""
-        lines.append(f"obstacle box {fmt(lo)} {fmt(hi)}{suffix}")
-    lines.append(f"sensing_radius {fmt(sc.sensing_radius)}")
-    lines.append(f"step {fmt(sc.step)}")
-    lines.append(f"stop_fraction {fmt(sc.stop_fraction)}")
-    lines.append(f"escape {sc.escape}")
-    lines.append(f"max_vertices {sc.max_vertices}")
-    for key in ("beta", "dmin", "dmax", "connect_radius", "grid_step"):
-        val = getattr(sc, key)
-        if val is not None:
-            lines.append(f"{key} {fmt(val)}")
-    if sc.region_shift is not None:
-        lines.append(f"region_shift {fmt(sc.region_shift)}")
-    return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .environment import KnownEnvironment, distance_to_revealed
-from .geometry import box_distances
+from .environment import KnownEnvironment, clearances, distance_to_revealed
+from .geometry import robot_pairs
 from .graph import (GenConfig, MoveBlocks, SearchGraph, group_steps, insert_admitted, move_rows,
                     open_rows)
 
@@ -108,31 +108,21 @@ def _restricted_search(g: SearchGraph, pool: List[int], done: Set[int], blocks: 
     return added, True, False
 
 
-def _clearances(configs, env: KnownEnvironment) -> np.ndarray:
-    """`distance_to_revealed` of each configuration in `configs`, in one call."""
-    pos = np.reshape(configs, (len(configs), -1, env.dim))
-    return box_distances(pos, env.lo, env.hi).min(axis=(1, 2), initial=np.inf)
-
-
 def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
                          cfg: GenConfig) -> List[int]:
     """Wall-hugging escape: admit only axis moves within epsilon of a revealed
     obstacle, where epsilon is taken at the trap vertex (floored at step/2)."""
     eps = max(distance_to_revealed(g.coords[trap], env), 0.5 * g.step)
-    pool = np.flatnonzero(_clearances(g.coords, env) <= eps).tolist()
+    pool = np.flatnonzero(clearances(g.coords, env) <= eps).tolist()
     done = {v for v in pool if g.is_expanded(v)}  # their moves were all tried
     steps = group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n)
-    blocks = MoveBlocks(steps, keep=lambda q: _clearances(q, env) <= eps)
+    blocks = MoveBlocks(steps, keep=lambda q: clearances(q, env) <= eps)
     # An exhausted shell falls back to unrestricted expansion.
     added, escaped, relaxed = _restricted_search(g, pool, done, blocks, env, cfg)
     g.escape_log.append({"mode": "near-obstacle", "trap": trap, "epsilon": eps,
                          "added": len(added), "new_ids": list(added),
                          "escaped": escaped, "fallback": relaxed})
     return added
-
-
-def _all_pairs(k: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
 def _components(k: int, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
@@ -176,7 +166,7 @@ def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
     if k < 2:
         raise ValueError("fixed-shape escape requires a multi-robot configuration")
     ref = g.coords[trap]
-    active = _all_pairs(k)
+    active = list(zip(*(a.tolist() for a in robot_pairs(k))))
     original = list(active)
     added: List[int] = []
     relaxations = 0

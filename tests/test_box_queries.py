@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import latticeplan as lp
 from latticeplan import geometry
-from latticeplan.environment import distance_to_revealed, sense
+from latticeplan.environment import clearances, distance_to_revealed, sense
 from latticeplan.geometry import (formation_motion_feasible, formation_segment_feasible,
                                   multi_robot_feasible, point_feasible, rows_formation_feasible,
                                   rows_multi_robot_feasible, rows_point_feasible,
                                   rows_segment_feasible, segment_feasible, segment_hits_box)
 from latticeplan.planner import _first_blocking_index
-from latticeplan.trap_escape import _clearances
 
 
 def _contains(lo, hi, p) -> bool:
@@ -107,14 +106,16 @@ def oracle_distance_to_revealed(x, known) -> float:
 
 
 def oracle_first_blocking_index(samples, known):
+    """The first blocked motion and the revealed boxes, by row, that block it."""
     for j, (a, b) in enumerate(zip(samples, samples[1:])):
         pb = _robots(b, known)
         links = [(pb[i], pb[m]) for i in range(len(pb)) for m in range(i + 1, len(pb))]
         segments = list(zip(_robots(a, known), pb)) + links
-        if any(segment_hits_box(s, e, box.lo, box.hi)
-               for s, e in segments for box in _revealed_boxes(known)):
-            return j
-    return None
+        rows = [r for r, box in enumerate(_revealed_boxes(known))
+                if any(segment_hits_box(s, e, box.lo, box.hi) for s, e in segments)]
+        if rows:
+            return j, rows
+    return None, []
 
 
 @st.composite
@@ -156,7 +157,7 @@ def test_obstacle_queries_equal_per_box_loops(world):
                 oracle_multi_robot_feasible(x, env, dmin, dmax)
         assert sense(env, x).revealed == oracle_sense(env, x)
         assert distance_to_revealed(x, env) == oracle_distance_to_revealed(x, env)
-    assert _clearances(configs, env).tolist() == \
+    assert clearances(configs, env).tolist() == \
         [oracle_distance_to_revealed(x, env) for x in configs]
     pairs = list(zip(configs, axis_moves)) + list(zip(configs, configs[::-1]))
     for a, b in pairs:
@@ -166,9 +167,10 @@ def test_obstacle_queries_equal_per_box_loops(world):
                 oracle_formation_segment_feasible(a, b, env, *band, 1 / 16)
     samples = [row for pair in pairs for row in pair]
     for start in range(0, len(samples), 3):
-        want = oracle_first_blocking_index(samples[start:], env)
-        assert _first_blocking_index(samples, start, env) == \
-            (None if want is None else start + want)
+        want, rows = oracle_first_blocking_index(samples[start:], env)
+        got, got_rows = _first_blocking_index(samples, start, env)
+        assert got == (None if want is None else start + want)
+        assert got_rows.tolist() == rows
 
 
 LINK_STEP = 1 / 16
@@ -238,13 +240,10 @@ def test_batched_formation_kernel_equals_scalar_tests(batch):
     for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
         assert rows_multi_robot_feasible(b, env, dmin, dmax).tolist() == \
             [multi_robot_feasible(y, env, dmin, dmax) for y in b]
-        want = [multi_robot_feasible(y, env, dmin, dmax)
+        want = [segment_feasible(x, y, env) and multi_robot_feasible(y, env, dmin, dmax)
                 and formation_motion_feasible(x, y, env, dmin, dmax, LINK_STEP)
                 for x, y in zip(a, b)]
         assert rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP).tolist() == want
-        assert rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP,
-                                       segments=True).tolist() == \
-            [w and segment_feasible(x, y, env) for w, x, y in zip(want, a, b)]
         # Any subset of rows, empty included, gives the same answers.
         keep = np.flatnonzero(np.arange(len(a)) % 3 == 1)
         assert rows_formation_feasible(a[keep], b[keep], env, dmin, dmax,
@@ -269,7 +268,7 @@ def test_formation_kernel_slab_tests_only_rows_near_a_box(monkeypatch):
                                     1 + seed % 4, seed % 3)
         for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
             reached.clear()
-            got = rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP, segments=True)
+            got = rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP)
             assert got.tolist() == [formation_segment_feasible(x, y, env, dmin, dmax, LINK_STEP)
                                     and multi_robot_feasible(y, env, dmin, dmax)
                                     for x, y in zip(a, b)]
@@ -289,24 +288,22 @@ def test_formation_kernel_clearance_literals():
                                       [lp.ObstaclePrimitive.box(lo, hi) for lo, hi in boxes])
         return lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
 
-    def admits(a, b, env, segments):
+    def admits(a, b, env):
         a, b = np.array([a]), np.array([b])
-        got = bool(rows_formation_feasible(a, b, env, 1 / 4, 1.0, LINK_STEP, segments)[0])
-        want = multi_robot_feasible(b[0], env, 1 / 4, 1.0) and (
-            formation_segment_feasible if segments else formation_motion_feasible)(
-                a[0], b[0], env, 1 / 4, 1.0, LINK_STEP)
-        assert got == want
+        got = bool(rows_formation_feasible(a, b, env, 1 / 4, 1.0, LINK_STEP)[0])
+        assert got == (multi_robot_feasible(b[0], env, 1 / 4, 1.0) and formation_segment_feasible(
+            a[0], b[0], env, 1 / 4, 1.0, LINK_STEP))
         return got
 
     a = [0.0, 1 / 4, 0.0, 3 / 4]
     across = [1.0, 1 / 4, 1.0, 3 / 4]  # link samples at x = m / 23
     mid_link = env_of(([3 / 8, 3 / 8], [5 / 8, 5 / 8]))
-    assert not admits(a, across, mid_link, False)
-    assert not admits(a, across, mid_link, True)
+    assert segment_feasible(a, across, mid_link)
+    assert not admits(a, across, mid_link)
     short = [1 / 8, 1 / 4, 1 / 8, 3 / 4]  # link samples at x = 0, 1/24, 1/12, 1/8
     own_segment = env_of(([3 / 64, 3 / 16], [5 / 64, 5 / 16]))
-    assert admits(a, short, own_segment, False)
-    assert not admits(a, short, own_segment, True)
+    assert formation_motion_feasible(a, short, own_segment, 1 / 4, 1.0, LINK_STEP)
+    assert not admits(a, short, own_segment)
     faces = env_of(([1 / 8, 0.0], [1 / 2, 1.0]), ([0.0, 3 / 4], [1 / 8, 1.0]),
                    ([-1 / 2, 0.0], [0.0, 1.0]))
-    assert admits(a, short, faces, True)
+    assert admits(a, short, faces)

@@ -59,18 +59,19 @@ class TestOpenBoxSegments:
             ends = np.where(rng.random((400, d)) < 0.5, starts, moved)
             corners = np.sort(rng.integers(0, 9, (2, 8, d)), axis=0) / 8
             cases.append((starts, ends, corners[0], corners[1]))
+        cases.append((starts, ends, corners[0][:0], corners[1][:0]))  # no boxes
         for starts, ends, boxes_lo, boxes_hi in cases:
             got = segments_hit_boxes(starts, ends, boxes_lo, boxes_hi)
-            want = [any(segment_hits_box(a, b, lo, hi)
-                        for lo, hi in zip(boxes_lo, boxes_hi))
-                    for a, b in zip(starts, ends)]
+            assert got.shape == (len(boxes_lo), len(starts))
+            want = [[segment_hits_box(a, b, lo, hi) for a, b in zip(starts, ends)]
+                    for lo, hi in zip(boxes_lo, boxes_hi)]
             assert got.tolist() == want
 
     def test_vectorized_degenerate_axis_outside_slab(self):
         # Vertical segment left of the box: constant-x axis outside the slab.
         got = segments_hit_boxes(np.array([[0.39, 0.1]]), np.array([[0.39, 0.9]]),
                                  self.lo[None], self.hi[None])
-        assert not got[0]
+        assert got.shape == (1, 1) and not got[0, 0]
 
 
 def test_point_feasibility_open_box():

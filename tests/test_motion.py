@@ -2,11 +2,13 @@
 replaced.
 
 The oracle densifies into a list, senses at every motion sample, re-runs
-the blocking check whenever sensing reveals something, and tests every
-sample with `point_feasible`.  Every move of every plan below goes through
-both, and they must agree bit for bit.
+the blocking check whenever sensing reveals something, names the blocking
+boxes with the scalar `segment_hits_box`, searches the stop sample one
+sample at a time, and tests every sample with `point_feasible`.  Every move
+of every plan below goes through both, and they must agree bit for bit.
 """
 
+from itertools import combinations
 from typing import List
 
 import numpy as np
@@ -15,10 +17,10 @@ import pytest
 import latticeplan as lp
 from latticeplan import planner
 from latticeplan.environment import distance_to_revealed
-from latticeplan.geometry import distance, edge_lengths, point_feasible
+from latticeplan.geometry import (box_distances, distance, edge_lengths, point_feasible,
+                                  segment_feasible, segment_hits_box)
 from latticeplan.pathfind import GraphPath
-from latticeplan.planner import (MotionOutcome, PlannerConfig, _blocking_rows,
-                                 _clearance_to, _first_blocking_index)
+from latticeplan.planner import MotionOutcome, PlannerConfig, _first_blocking_index, densify
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze
 
@@ -34,6 +36,22 @@ def oracle_densify(polyline, step) -> List[np.ndarray]:
             samples.append(a + (s / m) * (b - a))
         samples.append(b)
     return samples
+
+
+def oracle_blocking_rows(a, b, known) -> List[int]:
+    """Rows of the revealed boxes that make the motion a -> b infeasible:
+    crossed by a robot's segment, or cutting a robot link at b."""
+    pa = known.robot_positions(a)
+    pb = known.robot_positions(b)
+    segments = list(zip(pa, pb)) + [(pb[i], pb[j]) for i, j in combinations(range(len(pb)), 2)]
+    return [r for r, (lo, hi) in enumerate(zip(known.lo, known.hi))
+            if any(segment_hits_box(s, e, lo, hi) for s, e in segments)]
+
+
+def oracle_clearance_to(x, rows, known) -> float:
+    if not rows:
+        return distance_to_revealed(x, known)
+    return float(box_distances(known.robot_positions(x), known.lo[rows], known.hi[rows]).min())
 
 
 def oracle_move_along(path, known, cfg):
@@ -54,16 +72,17 @@ def oracle_move_along(path, known, cfg):
     while True:
         if need_check:
             need_check = False
-            jb = _first_blocking_index(samples, i, known)
+            jb, rows = _first_blocking_index(samples, i, known)
             if jb is None:
                 stop_at, blocked, blockers = end, False, []
             else:
                 blocked = True
-                blockers = _blocking_rows(samples[jb], samples[jb + 1], known)
+                blockers = oracle_blocking_rows(samples[jb], samples[jb + 1], known)
+                assert rows.tolist() == blockers
                 threshold = cfg.stop_fraction * known.sensing_radius
                 stop_at = i
                 for j in range(jb, i - 1, -1):
-                    if _clearance_to(samples[j], blockers, known) >= threshold:
+                    if oracle_clearance_to(samples[j], blockers, known) >= threshold:
                         stop_at = j
                         break
         if i >= stop_at:
@@ -77,7 +96,7 @@ def oracle_move_along(path, known, cfg):
         if not point_feasible(samples[i], known):
             raise lp.ModelViolationError("robot discovered inside an obstacle while moving")
     status = "blocked" if blocked and i < end else "reached-target"
-    clearance = (_clearance_to(samples[i], blockers, known) if status == "blocked"
+    clearance = (oracle_clearance_to(samples[i], blockers, known) if status == "blocked"
                  else distance_to_revealed(samples[i], known))
     out = MotionOutcome(traversed=traversed, status=status,
                         stop_point=samples[i], stop_clearance=clearance)
@@ -191,11 +210,14 @@ def _line_world(*boxes, known=()):
         lp.ObstaclePrimitive.box(lo, hi, known=i in known) for i, (lo, hi) in enumerate(boxes)])
 
 
-def _line_path(*xs):
-    coords = [np.array([x, 0.5]) for x in xs]
+def _path(coords):
     return GraphPath(vertices=list(range(len(coords))), coords=coords,
                      edges=edge_lengths(np.asarray(coords)),
                      length=distance(coords[0], coords[-1]), hops=len(coords) - 1)
+
+
+def _line_path(*xs):
+    return _path([np.array([x, 0.5]) for x in xs])
 
 
 def test_box_at_exactly_the_sensing_radius():
@@ -224,6 +246,51 @@ def test_boxes_near_the_start_already_revealed():
     full = known.fully_revealed()
     motion, _ = assert_same_motion(_line_path(0.1, 0.45), full, cfg)
     assert motion.status == "reached-target"
+
+
+def test_stop_short_of_a_box_only_a_robot_link_crosses():
+    """Two robots at y = 1/4 and 3/4 move along x; the samples sit at x =
+    j/16.  A box between them cuts the link at x = 9/16 and no robot's own
+    segment, while a wall 1/16 below the lower robot cuts nothing.  The
+    stop band f * R = 1/4 is measured to the link's box alone: the walk
+    stops at x = 5/16, the last sample at least 1/4 from it, although the
+    wall sits closer."""
+    wall, link = ([0.0, 1 / 8], [1.0, 3 / 16]), ([17 / 32, 7 / 16], [19 / 32, 9 / 16])
+    truth = _line_world(wall, link)
+    cfg = PlannerConfig(step=0.9, sensing_radius=0.5, stop_fraction=0.5)
+    path = _path([np.array([0.0, 0.25, 0.0, 0.75]), np.array([1.0, 0.25, 1.0, 0.75])])
+    samples = densify(path.coords, cfg.motion_step)
+    assert samples[:, 0].tolist() == [j / 16 for j in range(17)]
+
+    full = lp.KnownEnvironment.initial(truth, cfg.sensing_radius).fully_revealed()
+    jb, rows = _first_blocking_index(samples, 0, full)
+    assert (jb, rows.tolist()) == (8, [1])
+    assert segment_feasible(samples[8], samples[9], full)
+
+    known = lp.KnownEnvironment.initial(truth, cfg.sensing_radius)
+    motion, after = assert_same_motion(path, known, cfg)
+    assert motion.status == "blocked" and after.revealed == {0, 1}
+    assert motion.stop_point[0] == 5 / 16
+    assert motion.stop_clearance == oracle_clearance_to(motion.stop_point, [1], after) >= 1 / 4
+    assert oracle_clearance_to(samples[6], [1], after) < 1 / 4
+    assert distance_to_revealed(motion.stop_point, after) == 1 / 16
+
+
+@pytest.mark.parametrize("name,polyline,step", [
+    ("repeated-vertices", [[0.1, 0.2], [0.1, 0.2], [0.5, 0.2], [0.5, 0.2], [0.5, 0.2],
+                           [0.5, 0.9], [0.1, 0.9]], 0.03),
+    ("one-point", [[0.3, 0.7]], 0.05),
+    ("short-edges", [[0.1, 0.1], [0.1 + 1e-3, 0.1], [0.2, 0.3], [0.2, 0.3 + 2e-12]], 0.05),
+    ("formation", [[0.1, 0.47, 0.1, 0.53], [0.37, 0.47, 0.37, 0.53], [0.37, 0.47, 0.37, 0.53],
+                   [0.9, 0.2, 0.9, 0.26]], 0.004),
+    ("off-grid", list(np.random.default_rng(3).uniform(0, 1, (9, 3))), 0.071),
+])
+def test_densify_equals_per_edge_loop(name, polyline, step):
+    polyline = [np.asarray(p, dtype=float) for p in polyline]
+    want = np.array(oracle_densify(polyline, step))
+    for lengths in (None, edge_lengths(np.asarray(polyline))):
+        got = densify(polyline, step, lengths)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_one_sample_path_is_exhausted():

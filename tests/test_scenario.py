@@ -1,10 +1,10 @@
-"""Scenario file parsing, validation and round-tripping."""
+"""Scenario file parsing and validation."""
 
 import numpy as np
 import pytest
 
 from latticeplan.errors import ScenarioError
-from latticeplan.scenario import parse_scenario, serialize_scenario
+from latticeplan.scenario import parse_scenario
 
 GOOD = """\
 # two robots crossing a corridor
@@ -29,13 +29,6 @@ def test_parse_good_scenario():
     assert len(sc.obstacles) == 2
     assert sc.obstacles[1][2] is True  # known flag
     assert sc.dmin == 0.03 and sc.dmax == 0.13
-
-
-def test_roundtrip_is_stable():
-    sc = parse_scenario(GOOD)
-    text = serialize_scenario(sc)
-    sc2 = parse_scenario(text)
-    assert serialize_scenario(sc2) == text
 
 
 def test_error_carries_line_number():

@@ -1,5 +1,6 @@
 """The two restricted-expansion escape strategies and their shared pieces."""
 
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
     for g, env, k in grown_trees:
         move_sets = [_axis_steps(k)]
         if k > 1:
-            comps = trap_escape._components(k, trap_escape._all_pairs(k))
+            comps = trap_escape._components(k, list(combinations(range(k), 2)))
             move_sets.append(group_steps(comps, 2, g.n))
         closed_sets = [set() for _ in move_sets]
         for pool in _ascending_pools(g, rng):
@@ -395,7 +396,7 @@ def test_parent_keys_equal_rounded_keys_on_escape_moves(grown_trees):
     checked = 0
     for g, _, k in grown_trees:
         step_sets = [_axis_steps(k), group_steps(trap_escape._components(
-            k, trap_escape._all_pairs(k)), 2, g.n)]
+            k, list(combinations(range(k), 2))), 2, g.n)]
         for v in range(0, g.count, 7):
             if g.keys[v] is None:
                 continue
@@ -443,7 +444,7 @@ def test_shape_matches_equals_per_vertex_loop(grown_trees):
         if k < 2:
             continue
         # Prefixes, as the relaxations drop pairs, and every single pair.
-        pairs = trap_escape._all_pairs(k)
+        pairs = list(combinations(range(k), 2))
         subsets = [pairs[:r] for r in range(len(pairs) + 1)] + [[p] for p in pairs[1:]]
         for ref in (g.coords[0], g.coords[g.count // 2], g.coords[g.count - 1]):
             for active in subsets:
