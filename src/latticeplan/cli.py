@@ -5,8 +5,9 @@ search region and check it contains the planned trajectory), batch (plan
 several scenarios and aggregate metrics), validate (parse-check only).
 
 Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted
-(vertex budget or memory), 4 scenario parse/validation failure or a robot
-stepping into a box it never sensed, 5 internal error.
+(vertex budget or memory), 4 scenario parse/validation failure, a robot
+stepping into a box it never sensed or a region pitch too coarse to connect
+start and target, 5 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import fpe, render
 from .environment import KnownEnvironment, sense
-from .errors import ModelViolationError, PlanningError, ScenarioError
+from .errors import ModelViolationError, PlanningError, RegionError, ScenarioError
 from .planner import PlanResult, metrics_text, plan, trajectory_text
 from .scenario import Scenario, parse_scenario
 
@@ -98,7 +99,10 @@ def run_region(args) -> int:
                             f"pitches ({pitch} {dx:g})")
     full = KnownEnvironment.initial(truth, sc.sensing_radius).fully_revealed()
     lat = fpe.Lattice.build(full, sc.start, dx, sc.target)
-    region = fpe.build_region(sc.start, sc.target, lat, beta=sc.beta)
+    try:
+        region = fpe.build_region(sc.start, sc.target, lat, beta=sc.beta)
+    except RegionError as exc:
+        raise ScenarioError(f"{exc} ({pitch} {dx:g})") from exc
     samples = result.full_trajectory
     if sc.region_shift is not None:
         # Test hook: shifting the region by +s equals shifting samples by -s.
@@ -123,16 +127,11 @@ def run_batch(args) -> int:
     for path in args.scenario:
         sc = _load_scenario(path, args.override)
         result = plan(sc.ground_truth(), sc.start, sc.target, sc.planner_config())
-        m = result.metrics
-        rows.append(f"{Path(path).name},{result.status},{m['num_robots']},"
-                    f"{m['l']:.12g},{m['dim']},{m['avg_vertices']:.12g},"
-                    f"{m['max_vertices']},{str(m['trapped']).lower()},"
-                    f"{m['num_graphs']}")
+        header, row = metrics_text(result).splitlines()
+        rows.append(f"{Path(path).name},{result.status},{row}")
         worst = max(worst, _status_code(result))
         print(f"{path}: {result.status}")
-    header = ("scenario,status,num_robots,l,dim,avg_vertices,max_vertices,"
-              "trapped,num_graphs")
-    table = header + "\n" + "\n".join(rows) + "\n"
+    table = "scenario,status," + header + "\n" + "\n".join(rows) + "\n"
     out = _out_dir(args)
     if out is not None:
         (out / "batch_metrics.csv").write_text(table)

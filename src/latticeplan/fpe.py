@@ -8,7 +8,9 @@ Gibbs-layer growth (positive diffusion) until the target node is claimed.
 Both come from the limits of the flow in closed form: a descent sweep is the
 set of nodes reachable over descent edges, and the diffusion limit is the
 Gibbs density on each lattice component.  The solver stays as the oracle the
-tests compare them with.
+tests compare them with.  `contains_path` tests trajectory samples against
+the region's covered boxes in numpy passes; a region holds only its claimed
+nodes, and `region_dump` marks them.
 """
 
 from __future__ import annotations
@@ -348,31 +350,13 @@ class Region:
     half_width: float
     steady_rho: Optional[np.ndarray] = None
 
-    def contains(self, x, tol: float = _CONTAIN_TOL) -> bool:
-        """x lies in some covered box; the per-sample oracle of `contains_path`."""
-        x = as_config(x)
-        lat = self.lattice
-        node_set = self._node_set
-        base = np.floor((x - lat.anchor) / lat.dx).astype(int).tolist()
-        for off in _cell_offsets(len(base)):
-            idx = lat.key_map.get(tuple(b + o for b, o in zip(base, off)))
-            if idx is None or idx not in node_set:
-                continue
-            if float(np.max(np.abs(lat.coords[idx] - x))) <= self.half_width + tol:
-                return True
-        return False
-
-    @property
-    def _node_set(self) -> Set[int]:
-        if not hasattr(self, "_cached_set"):
-            self._cached_set = set(self.nodes)
-        return self._cached_set
-
 
 def contains_path(region: Region, trajectory: Sequence) -> bool:
-    """True iff every trajectory sample lies inside some covered box: the
-    `Region.contains` test of up to _CONTAIN_BLOCK samples per numpy pass,
-    with the claimed nodes laid out on a dense grid of their lattice keys."""
+    """True iff every trajectory sample lies inside some covered box, up to
+    _CONTAIN_TOL.  A sample can only sit in the box of a claimed node at one
+    of the 3**n lattice keys around its cell corner; up to _CONTAIN_BLOCK
+    samples are tested per numpy pass, with the claimed nodes laid out on a
+    dense grid of their lattice keys."""
     if len(trajectory) == 0:
         return True
     if not region.nodes:
@@ -503,7 +487,7 @@ def build_region(start, target, lat: Lattice, beta: Optional[float] = None
 def region_dump(region: Region) -> str:
     """One lattice node per line: coord... in_region(0/1) steady_rho."""
     lat = region.lattice
-    inside = region._node_set
+    inside = set(region.nodes)
     rho = region.steady_rho if region.steady_rho is not None else np.zeros(lat.size)
     lines = []
     for i in range(lat.size):

@@ -9,17 +9,17 @@ and `hi`, and each test below reads them in one call: `box_distances` for
 distances, one point-in-box expression for positions, and the slab test
 `segments_hit_boxes` for many segments at once.  The slab test answers per
 box and segment; its callers reduce over the boxes, and the planner's
-motion check also reads which boxes block.  The scalar `segment_hits_box`
-runs only in the scalar tests below, which validate scenario files and are
-the oracles the batched kernels are tested against; `planner` does not
-call it.
+motion check also reads which boxes block.
 
-The `rows_*` functions answer a scalar test for every row of a batch of
-configurations (N, n), or of moves given as start and end rows, in one
-numpy pass; the scalar functions they mirror stay as their oracles.  Norms
-are `sqrt(vecdot)`, which sums the squares as the one-vector
-`np.linalg.norm` and `np.dot` do, so every distance and every decision is
-bit-identical to the scalar test's.  `rows_formation_feasible` also tests
+Every feasibility test is one `rows_*` kernel, which answers for every row
+of a batch of configurations (N, n), or of moves given as start and end
+rows, in one numpy pass.  `point_feasible`, `segment_feasible`,
+`multi_robot_feasible` and `formation_segment_feasible` call a kernel on
+one configuration or move.  Norms are `sqrt(vecdot)`, which sums the
+squares as the one-vector `np.linalg.norm` and `np.dot` do, so every
+distance and every decision is bit-identical to a per-pair, per-box scalar
+loop; the test suite keeps such loops as its reference
+(`tests/geometry_oracles.py`).  `rows_formation_feasible` also tests
 every robot's own segment, and builds link samples and slab-tests only the
 moves whose clearance box, the box spanned by every robot position at both
 ends, meets a revealed box; the others cannot hit one.
@@ -109,29 +109,6 @@ def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.sqrt(np.vecdot(gap, gap))
 
 
-def segment_hits_box(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """True iff segment [a, b] intersects the OPEN box (lo, hi).
-
-    Grazing a face or an edge (boundary contact only) does not count.
-    """
-    d = b - a
-    t0, t1 = 0.0, 1.0
-    for i in range(a.shape[0]):
-        if d[i] == 0.0:
-            if not (lo[i] < a[i] < hi[i]):
-                return False
-        else:
-            ta = (lo[i] - a[i]) / d[i]
-            tb = (hi[i] - a[i]) / d[i]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 >= t1:
-                return False
-    return t1 > t0
-
-
 def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized open-box slab test.
 
@@ -159,103 +136,14 @@ def segments_hit_boxes(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi:
     return t1 > t0
 
 
-def point_feasible(x, env) -> bool:
-    """True iff every robot position is in bounds and outside every revealed box."""
-    pos = env.robot_positions(x)
-    if (pos < env.bounds_lo).any() or (pos > env.bounds_hi).any():
-        return False
-    p = pos[:, None, :]
-    return not ((env.lo < p) & (p < env.hi)).all(axis=-1).any()
-
-
-def segment_feasible(a, b, env) -> bool:
-    """True iff no robot's straight segment from a to b crosses a revealed box."""
-    for ra, rb in zip(env.robot_positions(a), env.robot_positions(b)):
-        for lo, hi in zip(env.lo, env.hi):
-            if segment_hits_box(ra, rb, lo, hi):
-                return False
-    return True
-
-
-def multi_robot_feasible(x, env, dmin: float, dmax: float) -> bool:
-    """Pairwise distance band plus unblocked robot-to-robot links at x."""
-    positions = env.robot_positions(x)
-    k = len(positions)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = float(np.linalg.norm(positions[i] - positions[j]))
-            if d < dmin or d > dmax:
-                return False
-            for lo, hi in zip(env.lo, env.hi):
-                if segment_hits_box(positions[i], positions[j], lo, hi):
-                    return False
-    return True
-
-
-def _pair_distance_band_over_motion(pa, pb, qa, qb, dmin: float, dmax: float) -> bool:
-    """Distance between two linearly moving points stays in [dmin, dmax].
-
-    The squared distance is a convex quadratic in t, so the max is attained
-    at an endpoint and the min at the clamped vertex.
-    """
-    r0 = pa - qa
-    r1 = pb - qb
-    dr = r1 - r0
-    if float(np.linalg.norm(r0)) > dmax or float(np.linalg.norm(r1)) > dmax:
-        return False
-    denom = float(np.dot(dr, dr))
-    if denom > 0.0:
-        t = float(np.clip(-np.dot(r0, dr) / denom, 0.0, 1.0))
-    else:
-        t = 0.0
-    if float(np.linalg.norm(r0 + t * dr)) < dmin:
-        return False
-    return True
-
-
-def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[float],
-                               link_step: float) -> bool:
-    """Full admission test for moving the stacked configuration from a to b:
-    per-robot segment tests plus `formation_motion_feasible`."""
-    return segment_feasible(a, b, env) and formation_motion_feasible(
-        a, b, env, dmin, dmax, link_step)
-
-
-def formation_motion_feasible(a, b, env, dmin: Optional[float], dmax: Optional[float],
-                              link_step: float) -> bool:
-    """The formation terms of moving from a to b: the pairwise distance band
-    held along the whole motion and robot-to-robot links sampled at
-    `link_step`.  True without a band or with a single robot."""
-    if dmin is None or dmax is None:
-        return True
-    pa = env.robot_positions(a)
-    pb = env.robot_positions(b)
-    k = len(pa)
-    if k < 2:
-        return True
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not _pair_distance_band_over_motion(pa[i], pb[i], pa[j], pb[j], dmin, dmax):
-                return False
-    # Link blocking along the motion, sampled at the configuration pitch.
-    steps = max(int(np.ceil(distance(a, b) / link_step)), 1)
-    t = np.arange(steps + 1)[:, None, None] / steps
-    pos = pa + t * (pb - pa)  # (steps + 1, k, d)
-    i, j = robot_pairs(k)
-    dim = env.dim
-    return not np.any(segments_hit_boxes(pos[:, i].reshape(-1, dim), pos[:, j].reshape(-1, dim),
-                                         env.lo, env.hi))
-
-
-# -- batched forms of the tests above, one answer per row ---------------------
-
 def _rows_robots(x: np.ndarray, dim: int) -> np.ndarray:
     """The (N, k, dim) robot positions of configuration rows x (N, n); N may be 0."""
     return x.reshape(x.shape[0], x.shape[1] // dim, dim)
 
 
 def rows_point_feasible(x: np.ndarray, env) -> np.ndarray:
-    """`point_feasible` of each configuration row of x (N, n), shaped (N,)."""
+    """Per configuration row of x (N, n), shaped (N,): every robot position
+    is in bounds and outside every revealed box."""
     pos = _rows_robots(x, env.dim)
     ok = ~((pos < env.bounds_lo) | (pos > env.bounds_hi)).any(axis=(1, 2))
     p = pos[..., None, :]
@@ -263,8 +151,8 @@ def rows_point_feasible(x: np.ndarray, env) -> np.ndarray:
 
 
 def rows_segment_feasible(a: np.ndarray, b: np.ndarray, env) -> np.ndarray:
-    """`segment_feasible` of each move from row a[r] to row b[r], every
-    robot's segment in one slab test."""
+    """Per move from row a[r] to row b[r]: no robot's straight segment
+    crosses a revealed box, every segment in one slab test."""
     dim = env.dim
     hit = segments_hit_boxes(a.reshape(-1, dim), b.reshape(-1, dim), env.lo, env.hi).any(axis=0)
     return ~hit.reshape(a.shape[0], a.shape[1] // dim).any(axis=1)
@@ -280,7 +168,8 @@ def _owners_blocked(starts: np.ndarray, ends: np.ndarray, owner: np.ndarray, env
 
 
 def rows_multi_robot_feasible(x: np.ndarray, env, dmin: float, dmax: float) -> np.ndarray:
-    """`multi_robot_feasible` of each configuration row of x (N, n)."""
+    """Per configuration row of x (N, n): every robot pair's distance lies
+    in [dmin, dmax] and no pair's link crosses a revealed box."""
     rows, dim = x.shape[0], env.dim
     pos = _rows_robots(x, dim)
     i, j = robot_pairs(pos.shape[1])
@@ -292,12 +181,13 @@ def rows_multi_robot_feasible(x: np.ndarray, env, dmin: float, dmax: float) -> n
 
 def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax: float,
                             link_step: float) -> np.ndarray:
-    """Per move from row a[r] to row b[r] (N, n): `segment_feasible(a[r], b[r])
-    and multi_robot_feasible(b[r]) and formation_motion_feasible(a[r], b[r])`,
-    the band being set.
+    """Per move from row a[r] to row b[r] (N, n): `rows_segment_feasible`,
+    `rows_multi_robot_feasible` at b[r], every pair's distance at most dmax
+    at a[r] and at least dmin all along the motion, and no robot-to-robot
+    link crossing a revealed box at samples `link_step` apart along it.
 
-    The band over the motion takes each pair's convex-quadratic minimum as
-    `_pair_distance_band_over_motion` does.  A row still in the band whose
+    A pair's squared distance is a convex quadratic in the motion's time, so
+    its minimum sits at the clamped vertex.  A row still in the band whose
     clearance box meets a revealed box then sends its links at b, its link
     samples and every robot's own segment through one slab test; the other
     rows pass.  That is exact: every segment tested has both endpoints in the
@@ -329,8 +219,8 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     idx = idx[((lo[:, None] < env.hi) & (env.lo < hi[:, None])).all(axis=-1).any(axis=1)]
     if idx.shape[0] == 0:
         return ok
-    # Link samples along the motion at link_step, as in
-    # formation_motion_feasible: sample m of a row with s steps sits at m / s.
+    # Link samples along the motion: sample m of a row whose motion takes
+    # s = max(ceil(|b - a| / link_step), 1) steps sits at m / s.
     steps = np.maximum(np.ceil(_norms(a[idx] - b[idx]) / link_step), 1.0).astype(int)
     row = np.repeat(idx, steps + 1)
     m = np.arange(row.shape[0]) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
@@ -341,3 +231,36 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
     ends = np.concatenate([pos[:, j].reshape(-1, dim), pb[idx].reshape(-1, dim)])
     owner = np.concatenate([np.repeat(np.concatenate([idx, row]), len(i)), np.repeat(idx, k)])
     return ok & ~_owners_blocked(starts, ends, owner, env, rows)
+
+
+# -- one-configuration forms, for the start, target and target-link checks --
+
+def _one_row(x, env) -> np.ndarray:
+    """Configuration x as a (1, n) batch, its length checked against env.dim."""
+    return env.robot_positions(x).reshape(1, -1)
+
+
+def point_feasible(x, env) -> bool:
+    """True iff every robot position is in bounds and outside every revealed box."""
+    return bool(rows_point_feasible(_one_row(x, env), env)[0])
+
+
+def segment_feasible(a, b, env) -> bool:
+    """True iff no robot's straight segment from a to b crosses a revealed box."""
+    return bool(rows_segment_feasible(_one_row(a, env), _one_row(b, env), env)[0])
+
+
+def multi_robot_feasible(x, env, dmin: float, dmax: float) -> bool:
+    """Pairwise distance band plus unblocked robot-to-robot links at x."""
+    return bool(rows_multi_robot_feasible(_one_row(x, env), env, dmin, dmax)[0])
+
+
+def formation_segment_feasible(a, b, env, dmin: Optional[float], dmax: Optional[float],
+                               link_step: float) -> bool:
+    """Full admission test for moving the stacked configuration from a to b:
+    every robot's segment and, with a band, `rows_formation_feasible`'s band
+    at b and over the motion and its robot-to-robot links."""
+    if dmin is None or dmax is None:
+        return segment_feasible(a, b, env)
+    return bool(rows_formation_feasible(_one_row(a, env), _one_row(b, env), env, dmin, dmax,
+                                        link_step)[0])

@@ -20,9 +20,8 @@ potential.  These depend only on the environment, which is fixed while a
 tree grows, so expanding a vertex later only looks its moves' keys up.  The
 main loop prepares every vertex inserted since its last block; a restricted
 escape search, with its own moves, prepares a vertex from before the search
-alone and the vertices it added in blocks the same way.
-`candidate_admissible` and `candidate_open` are the per-candidate oracles
-the batched tests are checked against.
+alone and the vertices it added in blocks the same way.  A target link is
+`formation_segment_feasible`, one move through the same kernels.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -38,9 +37,8 @@ import numpy as np
 
 from .environment import KnownEnvironment
 from .errors import ResourceLimitError
-from .geometry import (as_config, distance, formation_segment_feasible, multi_robot_feasible,
-                       point_feasible, rows_formation_feasible, rows_multi_robot_feasible,
-                       rows_point_feasible, rows_segment_feasible)
+from .geometry import (as_config, distance, formation_segment_feasible, rows_formation_feasible,
+                       rows_multi_robot_feasible, rows_point_feasible, rows_segment_feasible)
 
 _TARGET_SNAP = 1e-12
 _ADMIT_ROWS = 1024  # moves per admission pass
@@ -92,7 +90,6 @@ class SearchGraph:
         self._frontier: List[Tuple[float, int]] = []  # heap of (potential, id)
         self.count = 0
         self.target_id: Optional[int] = None
-        self.trapped = False
         self.trap_events: List[int] = []
         self.escape_log: List[dict] = []
 
@@ -116,6 +113,11 @@ class SearchGraph:
         return vid
 
     # -- views -----------------------------------------------------------
+
+    @property
+    def trapped(self) -> bool:
+        """Whether some expansion hit a trap."""
+        return bool(self.trap_events)
 
     @property
     def coords(self) -> np.ndarray:
@@ -158,21 +160,13 @@ class SearchGraph:
         return "\n".join(lines) + "\n"
 
 
-def candidate_open(g: SearchGraph, q: np.ndarray, key: Key,
-                   env: KnownEnvironment) -> bool:
-    """Point-level admission: unvisited, in bounds, outside the revealed boxes
-    and, for a formation, inside the distance band."""
-    if key in g.key_map or not point_feasible(q, env):
-        return False
-    dmin, dmax = env.truth.dmin, env.truth.dmax
-    return dmin is None or dmax is None or multi_robot_feasible(q, env, dmin, dmax)
-
-
 def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray, key: Key,
                          env: KnownEnvironment, cfg: GenConfig) -> bool:
-    """Admission test for a lattice candidate reached from an existing vertex."""
-    return candidate_open(g, q, key, env) and formation_segment_feasible(
-        g.coords[from_id], q, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
+    """`admit_rows` of the one move from vertex from_id to q, and q's key
+    unvisited.  Nothing in the program calls it; it stays while
+    `perfbench/tracer.py` looks it up by name."""
+    return key not in g.key_map and bool(
+        admit_rows(g.coords[from_id][None], as_config(q)[None], env, cfg)[0])
 
 
 def _band(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
@@ -181,8 +175,8 @@ def _band(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
 
 
 def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
-    """`candidate_open` of each configuration row of q (N, n), the key
-    test aside, in one pass."""
+    """Per configuration row of q (N, n), in one pass: in bounds, outside
+    the revealed boxes and, for a formation, `rows_multi_robot_feasible`."""
     ok = rows_point_feasible(q, env)
     band = _band(env)
     if band is not None and ok.any():
@@ -193,9 +187,10 @@ def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
 
 def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment,
                cfg: GenConfig) -> np.ndarray:
-    """`candidate_admissible` of each move from row a[r] to row q[r] (N, n),
-    the key test aside: the end point and every robot's segment or, for a
-    formation, `rows_formation_feasible` on the rows whose end point passes."""
+    """Per move from row a[r] to row q[r] (N, n), in one pass: the end point
+    in bounds and outside the revealed boxes, and every robot's segment or,
+    for a formation, `rows_formation_feasible` on the rows whose end point
+    passes."""
     ok = rows_point_feasible(q, env)
     band = _band(env)
     if band is None:
@@ -335,7 +330,6 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
     from . import trap_escape  # deferred: trap_escape builds on this module
 
     blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n))
-    used_traps: set = set()
     while g.target_id is None:
         vid = g.argmin_unexpanded()
         if vid is None:
@@ -349,12 +343,9 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
             break
         improved = any(g.potential_of(i) < base_pot for i in new_ids)
         if not improved:
-            g.trapped = True
             g.trap_events.append(vid)
-            if escape is not None and escape.mode != "none" and vid not in used_traps:
-                used_traps.add(vid)
-                if escape.mode == "near-obstacle":
-                    trap_escape.escape_near_obstacle(g, vid, env, cfg)
-                else:
-                    trap_escape.escape_fixed_shape(g, vid, env, cfg)
+            if escape is not None and escape.mode == "near-obstacle":
+                trap_escape.escape_near_obstacle(g, vid, env, cfg)
+            elif escape is not None and escape.mode != "none":
+                trap_escape.escape_fixed_shape(g, vid, env, cfg)
     return g

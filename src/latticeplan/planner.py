@@ -5,12 +5,12 @@ The walk resamples the path in one numpy pass.  Its blocking check is one
 slab test (`segments_hit_boxes`) over every remaining motion, which gives
 both the first blocked sample and the boxes that block it; one clearance
 pass to those boxes then gives the stop sample and its clearance.  None of
-the three loops over boxes, samples or edges in Python, and the scalar
-`segment_hits_box` is not called here.
+the three loops over boxes, samples or edges in Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -187,12 +187,15 @@ def move_along(path: GraphPath, known: KnownEnvironment,
 
 def lattice_capacity(truth: GroundTruth, step: float, n: int) -> int:
     """Number of lattice points of the given pitch inside the workspace, per
-    configuration dimension."""
-    per_axis = np.floor((truth.bounds_hi - truth.bounds_lo) / step).astype(int) + 1
+    configuration dimension, as a Python integer: floor(span / step) + 1 per
+    axis, and the exact quotient where the float one overflows."""
     cap = 1
-    for _ in range(n // truth.dim):
-        for c in per_axis:
-            cap *= int(c)
+    for lo, hi in zip(truth.bounds_lo.tolist(), truth.bounds_hi.tolist()):
+        q = (hi - lo) / step
+        if not math.isfinite(q):
+            from fractions import Fraction  # here only: importing it loads `decimal`
+            q = (Fraction(hi) - Fraction(lo)) / Fraction(step)
+        cap *= (math.floor(q) + 1) ** (n // truth.dim)
     return cap
 
 

@@ -12,13 +12,13 @@ import pytest
 
 import latticeplan as lp
 from latticeplan import fpe, render
-from latticeplan.geometry import point_feasible
 from latticeplan.pathfind import backtrace
 from latticeplan.planner import (densify, lattice_capacity, metrics_text,
                                  trajectory_text)
 
 from conftest import (MAZE_STEP, containment_scenes, make_corridor,
                       make_deadend, make_maze, make_sealed)
+from geometry_oracles import oracle_point_feasible
 from search_oracles import bfs_path, dijkstra_path
 
 
@@ -33,7 +33,7 @@ def test_completeness_50_random_mazes(maze_results):
             continue
         full = lp.KnownEnvironment.initial(truth, cfg.sensing_radius).fully_revealed()
         fine = densify(res.full_trajectory, MAZE_STEP / 100.0)
-        if not all(point_feasible(x, full) for x in fine):
+        if not all(oracle_point_feasible(x, full) for x in fine):
             failures.append((i, "collision"))
     assert not failures, f"maze failures: {failures}"
 

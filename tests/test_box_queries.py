@@ -1,8 +1,6 @@
 """Every obstacle query on the cached corner arrays equals a per-box loop.
 
-The oracles below test one box at a time: `_contains` and `_distance_to`
-are the point-in-box and point-to-box bodies of the one-box obstacle type,
-and segments go through the scalar `segment_hits_box`.  Worlds are drawn
+The oracles in `geometry_oracles` test one box at a time.  Worlds are drawn
 on a 1/8 grid, so points on faces, segments along faces, boxes and
 segments with zero-length axes and distances equal to the sensing radius
 all occur.  Distances are compared exactly.
@@ -14,108 +12,16 @@ from hypothesis import given, settings, strategies as st
 import latticeplan as lp
 from latticeplan import geometry
 from latticeplan.environment import clearances, distance_to_revealed, sense
-from latticeplan.geometry import (formation_motion_feasible, formation_segment_feasible,
-                                  multi_robot_feasible, point_feasible, rows_formation_feasible,
+from latticeplan.geometry import (formation_segment_feasible, multi_robot_feasible,
+                                  point_feasible, rows_formation_feasible,
                                   rows_multi_robot_feasible, rows_point_feasible,
-                                  rows_segment_feasible, segment_feasible, segment_hits_box)
+                                  rows_segment_feasible, segment_feasible)
 from latticeplan.planner import _first_blocking_index
 
-
-def _contains(lo, hi, p) -> bool:
-    return bool(np.all(lo < p) and np.all(p < hi))
-
-
-def _distance_to(lo, hi, p) -> float:
-    d = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-    return float(np.linalg.norm(d))
-
-
-def _revealed_boxes(env):
-    return [env.truth.primitives[i] for i in sorted(env.revealed)]
-
-
-def _robots(x, env):
-    return list(np.asarray(x, dtype=float).reshape(-1, env.dim))
-
-
-def oracle_point_feasible(x, env) -> bool:
-    for pos in _robots(x, env):
-        if np.any(pos < env.bounds_lo) or np.any(pos > env.bounds_hi):
-            return False
-        if any(_contains(b.lo, b.hi, pos) for b in _revealed_boxes(env)):
-            return False
-    return True
-
-
-def oracle_segment_feasible(a, b, env) -> bool:
-    return not any(segment_hits_box(ra, rb, box.lo, box.hi)
-                   for ra, rb in zip(_robots(a, env), _robots(b, env))
-                   for box in _revealed_boxes(env))
-
-
-def oracle_multi_robot_feasible(x, env, dmin, dmax) -> bool:
-    pos = _robots(x, env)
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            d = float(np.linalg.norm(pos[i] - pos[j]))
-            if d < dmin or d > dmax:
-                return False
-            if any(segment_hits_box(pos[i], pos[j], b.lo, b.hi) for b in _revealed_boxes(env)):
-                return False
-    return True
-
-
-def oracle_formation_segment_feasible(a, b, env, dmin, dmax, link_step) -> bool:
-    if not oracle_segment_feasible(a, b, env):
-        return False
-    if dmin is None or dmax is None:
-        return True
-    pa, pb = _robots(a, env), _robots(b, env)
-    k = len(pa)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not lp.geometry._pair_distance_band_over_motion(pa[i], pb[i], pa[j], pb[j],
-                                                               dmin, dmax):
-                return False
-    steps = max(int(np.ceil(lp.distance(a, b) / link_step)), 1)
-    for s in range(steps + 1):
-        t = s / steps
-        pos = [pa[i] + t * (pb[i] - pa[i]) for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if any(segment_hits_box(pos[i], pos[j], box.lo, box.hi)
-                       for box in _revealed_boxes(env)):
-                    return False
-    return True
-
-
-def oracle_sense(known, x) -> frozenset:
-    new = set(known.revealed)
-    for i, box in enumerate(known.truth.primitives):
-        if any(_distance_to(box.lo, box.hi, pos) <= known.sensing_radius
-               for pos in _robots(x, known)):
-            new.add(i)
-    return frozenset(new)
-
-
-def oracle_distance_to_revealed(x, known) -> float:
-    boxes = _revealed_boxes(known)
-    if not boxes:
-        return float("inf")
-    return min(_distance_to(b.lo, b.hi, pos) for pos in _robots(x, known) for b in boxes)
-
-
-def oracle_first_blocking_index(samples, known):
-    """The first blocked motion and the revealed boxes, by row, that block it."""
-    for j, (a, b) in enumerate(zip(samples, samples[1:])):
-        pb = _robots(b, known)
-        links = [(pb[i], pb[m]) for i in range(len(pb)) for m in range(i + 1, len(pb))]
-        segments = list(zip(_robots(a, known), pb)) + links
-        rows = [r for r, box in enumerate(_revealed_boxes(known))
-                if any(segment_hits_box(s, e, box.lo, box.hi) for s, e in segments)]
-        if rows:
-            return j, rows
-    return None, []
+from geometry_oracles import (oracle_distance_to_revealed, oracle_first_blocking_index,
+                              oracle_formation_motion_feasible,
+                              oracle_formation_segment_feasible, oracle_multi_robot_feasible,
+                              oracle_point_feasible, oracle_segment_feasible, oracle_sense)
 
 
 @st.composite
@@ -231,17 +137,16 @@ def formation_batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(formation_batches())
 def test_batched_formation_kernel_equals_scalar_tests(batch):
-    """Row by row, every `rows_*` test equals the scalar test it batches;
-    the bands put exact grid distances on dmin and dmax."""
+    """Row by row, every `rows_*` test equals its scalar oracle; the bands
+    put exact grid distances on dmin and dmax."""
     env, a, b = batch
-    assert rows_point_feasible(b, env).tolist() == [point_feasible(y, env) for y in b]
+    assert rows_point_feasible(b, env).tolist() == [oracle_point_feasible(y, env) for y in b]
     assert rows_segment_feasible(a, b, env).tolist() == \
-        [segment_feasible(x, y, env) for x, y in zip(a, b)]
+        [oracle_segment_feasible(x, y, env) for x, y in zip(a, b)]
     for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
         assert rows_multi_robot_feasible(b, env, dmin, dmax).tolist() == \
-            [multi_robot_feasible(y, env, dmin, dmax) for y in b]
-        want = [segment_feasible(x, y, env) and multi_robot_feasible(y, env, dmin, dmax)
-                and formation_motion_feasible(x, y, env, dmin, dmax, LINK_STEP)
+            [oracle_multi_robot_feasible(y, env, dmin, dmax) for y in b]
+        want = [oracle_formation_segment_feasible(x, y, env, dmin, dmax, LINK_STEP)
                 for x, y in zip(a, b)]
         assert rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP).tolist() == want
         # Any subset of rows, empty included, gives the same answers.
@@ -254,7 +159,7 @@ def test_batched_formation_kernel_equals_scalar_tests(batch):
 def test_formation_kernel_slab_tests_only_rows_near_a_box(monkeypatch):
     """On batches with boxes, some rows in the band pass the clearance test
     without a slab test and others reach it, and every answer equals the
-    scalar tests."""
+    scalar oracle."""
     owners_blocked, reached = geometry._owners_blocked, []
 
     def counting(starts, ends, owner, env, rows):
@@ -269,9 +174,9 @@ def test_formation_kernel_slab_tests_only_rows_near_a_box(monkeypatch):
         for dmin, dmax in [(1 / 8, 5 / 8), (0.0, 2.0), (1 / 4, 1 / 2)]:
             reached.clear()
             got = rows_formation_feasible(a, b, env, dmin, dmax, LINK_STEP)
-            assert got.tolist() == [formation_segment_feasible(x, y, env, dmin, dmax, LINK_STEP)
-                                    and multi_robot_feasible(y, env, dmin, dmax)
-                                    for x, y in zip(a, b)]
+            assert got.tolist() == [
+                oracle_formation_segment_feasible(x, y, env, dmin, dmax, LINK_STEP)
+                for x, y in zip(a, b)]
             slabbed = set(np.concatenate(reached).tolist()) if reached else set()
             clear += len(set(np.flatnonzero(got).tolist()) - slabbed)
             tested += len(slabbed)
@@ -282,7 +187,8 @@ def test_formation_kernel_clearance_literals():
     """Two robots 1/2 apart moving along x.  A box that only a mid-motion
     link sample crosses, or only a robot's own segment, rejects the move
     though the box spanned by either end alone is clear of it; boxes whose
-    faces the clearance box touches exactly admit it."""
+    faces the clearance box touches exactly admit it.  A box that only the
+    link at the end point itself crosses rejects it too."""
     def env_of(*boxes):
         truth = lp.GroundTruth.create(2, np.zeros(2), np.ones(2),
                                       [lp.ObstaclePrimitive.box(lo, hi) for lo, hi in boxes])
@@ -291,19 +197,26 @@ def test_formation_kernel_clearance_literals():
     def admits(a, b, env):
         a, b = np.array([a]), np.array([b])
         got = bool(rows_formation_feasible(a, b, env, 1 / 4, 1.0, LINK_STEP)[0])
-        assert got == (multi_robot_feasible(b[0], env, 1 / 4, 1.0) and formation_segment_feasible(
-            a[0], b[0], env, 1 / 4, 1.0, LINK_STEP))
+        assert got == oracle_formation_segment_feasible(a[0], b[0], env, 1 / 4, 1.0, LINK_STEP)
         return got
 
     a = [0.0, 1 / 4, 0.0, 3 / 4]
     across = [1.0, 1 / 4, 1.0, 3 / 4]  # link samples at x = m / 23
     mid_link = env_of(([3 / 8, 3 / 8], [5 / 8, 5 / 8]))
-    assert segment_feasible(a, across, mid_link)
+    assert oracle_segment_feasible(a, across, mid_link)
     assert not admits(a, across, mid_link)
     short = [1 / 8, 1 / 4, 1 / 8, 3 / 4]  # link samples at x = 0, 1/24, 1/12, 1/8
     own_segment = env_of(([3 / 64, 3 / 16], [5 / 64, 5 / 16]))
-    assert formation_motion_feasible(a, short, own_segment, 1 / 4, 1.0, LINK_STEP)
+    assert oracle_formation_motion_feasible(a, short, own_segment, 1 / 4, 1.0, LINK_STEP)
     assert not admits(a, short, own_segment)
     faces = env_of(([1 / 8, 0.0], [1 / 2, 1.0]), ([0.0, 3 / 4], [1 / 8, 1.0]),
                    ([-1 / 2, 0.0], [0.0, 1.0]))
     assert admits(a, short, faces)
+    # From x = 0.1 to 0.45 the last link sample sits at 0.1 + (0.45 - 0.1),
+    # one ulp below 0.45: a box with its face there holds only the link at b.
+    face, start, end = 0.1 + (0.45 - 0.1), [0.1, 1 / 4, 0.1, 3 / 4], [0.45, 1 / 4, 0.45, 3 / 4]
+    end_link = env_of(([face, 3 / 8], [0.6, 5 / 8]))
+    assert face < 0.45
+    assert oracle_formation_motion_feasible(start, end, end_link, 1 / 4, 1.0, LINK_STEP)
+    assert not admits(start, end, end_link)
+

@@ -65,6 +65,19 @@ step 0.2
 """
 
 
+# The wall's gap, 0.38 < y < 0.42, is narrower than a coarse region pitch.
+GAP_SCENARIO = """\
+dim 2
+workspace 0 0 1 1
+start 0.1 0.5
+target 0.9 0.5
+obstacle box 0.45 0 0.55 0.38
+obstacle box 0.45 0.42 0.55 1
+sensing_radius 0.1
+step 0.01
+"""
+
+
 @pytest.fixture
 def scn(tmp_path):
     p = tmp_path / "scene.scn"
@@ -171,6 +184,19 @@ def test_region_target_off_the_region_lattice_is_scenario_error(
     assert err.startswith("scenario error: ") and f"({pitch})" in err
 
 
+def test_region_pitch_too_coarse_to_connect_is_scenario_error(tmp_path, capsys):
+    """A 0.04 gap in a wall: `plan` at step 0.01 passes it, but no region
+    lattice node at grid_step 0.2 connects start and target."""
+    p = tmp_path / "gap.scn"
+    p.write_text(GAP_SCENARIO)
+    assert main(["plan", "--scenario", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["region", "--scenario", str(p), "--override", "grid_step=0.2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: target is not lattice-connected")
+    assert err.endswith("(grid_step 0.2)\n") and err.count("\n") == 1
+
+
 def test_out_of_memory_is_resource_limit(scn, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB")
@@ -214,13 +240,20 @@ def test_dim_after_a_sized_line_is_scenario_error(tmp_path, capsys, command, lin
 
 
 def test_batch_aggregates(scn, tmp_path):
+    """Each `batch_metrics.csv` row is the scenario's name and status
+    followed by the row `plan --metrics` writes, under the same header."""
     other = tmp_path / "other.scn"
     other.write_text(OPEN_SCENARIO.replace("step 0.05", "step 0.04"))
     out = tmp_path / "b"
-    code = main(["batch", "--scenario", str(scn), str(other), "--out", str(out)])
-    assert code == 0
-    table = (out / "batch_metrics.csv").read_text().strip().splitlines()
-    assert len(table) == 3 and table[0].startswith("scenario,")
+    assert main(["batch", "--scenario", str(scn), str(other), "--out", str(out)]) == 0
+    header, *rows = (out / "batch_metrics.csv").read_text().splitlines()
+    assert len(rows) == 2
+    for i, (path, row) in enumerate(zip([scn, other], rows)):
+        plan_out = tmp_path / f"plan{i}"
+        assert main(["plan", "--scenario", str(path), "--metrics", "--out", str(plan_out)]) == 0
+        want_header, want_row = (plan_out / "metrics.csv").read_text().splitlines()
+        assert header == "scenario,status," + want_header
+        assert row == f"{path.name},success,{want_row}"
 
 
 def test_svg_outputs_are_deterministic(scn, tmp_path):

@@ -15,9 +15,10 @@ import pytest
 import latticeplan as lp
 from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
-from latticeplan.geometry import distance, point_feasible, segment_feasible
+from latticeplan.geometry import distance
 
 from conftest import containment_scenes
+from geometry_oracles import oracle_point_feasible, oracle_segment_feasible, region_contains
 
 
 def _chain(p, dx=0.1):
@@ -200,7 +201,7 @@ def test_build_region_convex_world_is_corridor():
     assert ys == {0.5}
     line = [np.array([x, 0.5]) for x in np.linspace(0.1, 0.9, 200)]
     assert fpe.contains_path(region, line)
-    assert not region.contains([0.5, 0.62])
+    assert not region_contains(region, [0.5, 0.62])
 
 
 def test_region_unreachable_target_raises():
@@ -333,14 +334,14 @@ def _loop_lattice(env, anchor, dx):
     coords, key_map = [], {}
     for key in itertools.product(*(range(a, b + 1) for a, b in zip(kmin, kmax))):
         x = anchor + dx * np.array(key)
-        if point_feasible(x, env):
+        if oracle_point_feasible(x, env):
             key_map[key] = len(coords)
             coords.append(x)
     edges, neighbors = [], [[] for _ in coords]
     for key, j in key_map.items():
         for axis in range(n):
             k = key_map.get(key[:axis] + (key[axis] + 1,) + key[axis + 1:])
-            if k is not None and segment_feasible(coords[j], coords[k], env):
+            if k is not None and oracle_segment_feasible(coords[j], coords[k], env):
                 edges.append([j, k])
                 neighbors[j].append(k)
                 neighbors[k].append(j)
@@ -445,7 +446,7 @@ def _regions_with_trajectories():
 
 
 def test_contains_path_equals_per_sample_contains():
-    """The one-pass containment test equals `Region.contains` per sample: on
+    """The one-pass containment test equals `region_contains` per sample: on
     planned trajectories, on random points, and on points at exactly the
     half-width plus tolerance from a claimed node along one axis, or one ulp
     beyond it."""
@@ -458,7 +459,7 @@ def test_contains_path_equals_per_sample_contains():
         lat = fpe.Lattice.build(env, start, step, target)
         region = fpe.build_region(start, target, lat)
         traj = res.full_trajectory
-        assert fpe.contains_path(region, traj) == all(region.contains(x) for x in traj)
+        assert fpe.contains_path(region, traj) == all(region_contains(region, x) for x in traj)
         n = start.shape[0]
         nodes = lat.coords[list(region.nodes)]
         reach = region.half_width + 1e-9
@@ -473,24 +474,24 @@ def test_contains_path_equals_per_sample_contains():
                     y[axis] = np.nextafter(x[axis], sign * np.inf)
                     samples.append(y)
         for x in samples:
-            want = region.contains(x)
+            want = region_contains(region, x)
             assert fpe.contains_path(region, [x]) == want, x
             in_box += want
-        on_edge = [region.contains(x) for x in samples[200:]]
+        on_edge = [region_contains(region, x) for x in samples[200:]]
         edge_in += sum(on_edge[0::2])
         edge_out += len(on_edge[1::2]) - sum(on_edge[1::2])
         regions += 1
         # A path is contained iff each of its samples is.
         path = samples[:20]
-        assert fpe.contains_path(region, path) == all(region.contains(x) for x in path)
-        assert fpe.contains_path(region, list(traj) + [samples[-1]]) == region.contains(
-            samples[-1])
+        assert fpe.contains_path(region, path) == all(region_contains(region, x) for x in path)
+        assert fpe.contains_path(region, list(traj) + [samples[-1]]) == region_contains(
+            region, samples[-1])
     assert regions == 25 and in_box > 0 and edge_in > 0 and edge_out > 0
     assert fpe.contains_path(region, [])
     # Paths longer than one pass: inside, and with one sample outside the
     # region in the third pass.
     near = nodes[rng.integers(0, len(nodes), 1300)]
     path = list(near + rng.uniform(-0.5, 0.5, near.shape) * region.half_width)
-    assert fpe.contains_path(region, path) and all(region.contains(x) for x in path)
+    assert fpe.contains_path(region, path) and all(region_contains(region, x) for x in path)
     path[1200] = path[1200] + 3.0
-    assert not region.contains(path[1200]) and not fpe.contains_path(region, path)
+    assert not region_contains(region, path[1200]) and not fpe.contains_path(region, path)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import latticeplan as lp
-from latticeplan.geometry import (distance, point_feasible, segment_feasible,
-                                  segment_hits_box, segments_hit_boxes)
+from latticeplan.geometry import distance, point_feasible, segment_feasible, segments_hit_boxes
+
+from geometry_oracles import segment_hits_box
 
 
 def test_distance_3_4_5():
@@ -19,6 +20,8 @@ def test_distance_dimension_mismatch():
 
 
 class TestOpenBoxSegments:
+    """The scalar oracle on literal cases, and the slab test against it."""
+
     lo = np.array([0.4, 0.2])
     hi = np.array([0.6, 0.8])
 
@@ -124,3 +127,19 @@ def test_pair_band_interior_minimum_detected():
     a = np.array([0.2, 0.4])
     b = np.array([0.4, 0.2])
     assert not lp.geometry.formation_segment_feasible(a, b, env, 0.05, 0.5, 0.01)
+
+
+def test_one_configuration_forms_check_the_length():
+    """A configuration whose length is not a whole number of robots is an
+    error, not a batch of another shape."""
+    truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [], dmin=0.03, dmax=0.13)
+    env = lp.KnownEnvironment.initial(truth, 0.1)
+    odd, pair = [0.1, 0.2, 0.3], [0.1, 0.5, 0.1, 0.56]
+    for call in (lambda: point_feasible(odd, env),
+                 lambda: segment_feasible(odd, odd, env),
+                 lambda: segment_feasible(pair, odd, env),
+                 lambda: lp.geometry.multi_robot_feasible(odd, env, 0.03, 0.13),
+                 lambda: lp.geometry.formation_segment_feasible(pair, odd, env, 0.03, 0.13, 0.01),
+                 lambda: lp.geometry.formation_segment_feasible(odd, odd, env, None, None, 0.01)):
+        with pytest.raises(ValueError, match="not divisible"):
+            call()

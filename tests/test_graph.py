@@ -6,11 +6,13 @@ import pytest
 import latticeplan as lp
 from latticeplan import graph
 from latticeplan.errors import ResourceLimitError
-from latticeplan.geometry import (as_config, formation_motion_feasible, multi_robot_feasible,
-                                  point_feasible, segment_feasible)
+from latticeplan.geometry import as_config
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
+from geometry_oracles import (oracle_candidate_admissible, oracle_formation_motion_feasible,
+                              oracle_multi_robot_feasible, oracle_point_feasible,
+                              oracle_segment_feasible)
 
 
 class LatticeConsistencyError(ValueError):
@@ -291,11 +293,11 @@ def test_group_steps_and_move_rows_on_literals():
 
 def test_block_admission_equals_candidate_admissible(monkeypatch):
     """At every expansion, of the main loop and of the escapes, the block's
-    admitted moves are those `candidate_admissible` (and the escape's mask)
-    admits from the same vertex, with the same keys and coordinates.  Per
-    move, the block's flag equals the point, segment and, for a formation,
-    band and motion oracles, and its potential equals `distance` to the
-    target exactly."""
+    admitted moves are those `oracle_candidate_admissible` (and the
+    escape's mask) admits from the same vertex, with the same keys and
+    coordinates.  Per move, the block's flag equals the point, segment and,
+    for a formation, band and motion oracles, and its potential equals
+    `distance` to the target exactly."""
     admitted, prepare = graph.MoveBlocks.admitted, graph.MoveBlocks.prepare
     seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0,
             "8-D": 0}
@@ -312,16 +314,16 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         moves = step_moves(g, vid, blocks.steps)
         kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
-                if ok and graph.candidate_admissible(g, vid, q, key, env, cfg)]
+                if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         v = g.coords[vid]
         for move, (q, _) in enumerate(moves):
-            on_point = point_feasible(q, env)
-            on_segment = on_point and segment_feasible(v, q, env)
+            on_point = oracle_point_feasible(q, env)
+            on_segment = on_point and oracle_segment_feasible(v, q, env)
             in_band = dmin is None or dmax is None or (
-                multi_robot_feasible(q, env, dmin, dmax)
-                and formation_motion_feasible(v, q, env, dmin, dmax, cfg.link_step))
+                oracle_multi_robot_feasible(q, env, dmin, dmax)
+                and oracle_formation_motion_feasible(v, q, env, dmin, dmax, cfg.link_step))
             assert blocks.passed[vid, move] == (kept[move] and on_segment and in_band)
             assert blocks.pot[vid, move] == lp.distance(q, g.target)
             seen["segment-only"] += on_point and not on_segment

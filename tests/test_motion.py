@@ -3,12 +3,12 @@ replaced.
 
 The oracle densifies into a list, senses at every motion sample, re-runs
 the blocking check whenever sensing reveals something, names the blocking
-boxes with the scalar `segment_hits_box`, searches the stop sample one
-sample at a time, and tests every sample with `point_feasible`.  Every move
-of every plan below goes through both, and they must agree bit for bit.
+boxes with the per-box `oracle_first_blocking_index`, searches the stop
+sample one sample at a time, and tests every sample with
+`oracle_point_feasible`.  Every move of every plan below goes through both,
+and they must agree bit for bit.
 """
 
-from itertools import combinations
 from typing import List
 
 import numpy as np
@@ -17,12 +17,13 @@ import pytest
 import latticeplan as lp
 from latticeplan import planner
 from latticeplan.environment import distance_to_revealed
-from latticeplan.geometry import (box_distances, distance, edge_lengths, point_feasible,
-                                  segment_feasible, segment_hits_box)
+from latticeplan.geometry import box_distances, distance, edge_lengths
 from latticeplan.pathfind import GraphPath
 from latticeplan.planner import MotionOutcome, PlannerConfig, _first_blocking_index, densify
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze
+from geometry_oracles import (oracle_first_blocking_index, oracle_point_feasible,
+                              oracle_segment_feasible)
 
 
 def oracle_densify(polyline, step) -> List[np.ndarray]:
@@ -36,16 +37,6 @@ def oracle_densify(polyline, step) -> List[np.ndarray]:
             samples.append(a + (s / m) * (b - a))
         samples.append(b)
     return samples
-
-
-def oracle_blocking_rows(a, b, known) -> List[int]:
-    """Rows of the revealed boxes that make the motion a -> b infeasible:
-    crossed by a robot's segment, or cutting a robot link at b."""
-    pa = known.robot_positions(a)
-    pb = known.robot_positions(b)
-    segments = list(zip(pa, pb)) + [(pb[i], pb[j]) for i, j in combinations(range(len(pb)), 2)]
-    return [r for r, (lo, hi) in enumerate(zip(known.lo, known.hi))
-            if any(segment_hits_box(s, e, lo, hi) for s, e in segments)]
 
 
 def oracle_clearance_to(x, rows, known) -> float:
@@ -77,7 +68,7 @@ def oracle_move_along(path, known, cfg):
                 stop_at, blocked, blockers = end, False, []
             else:
                 blocked = True
-                blockers = oracle_blocking_rows(samples[jb], samples[jb + 1], known)
+                _, blockers = oracle_first_blocking_index(samples[jb:jb + 2], known)
                 assert rows.tolist() == blockers
                 threshold = cfg.stop_fraction * known.sensing_radius
                 stop_at = i
@@ -93,7 +84,7 @@ def oracle_move_along(path, known, cfg):
         if new_known is not known:
             known = new_known
             need_check = True
-        if not point_feasible(samples[i], known):
+        if not oracle_point_feasible(samples[i], known):
             raise lp.ModelViolationError("robot discovered inside an obstacle while moving")
     status = "blocked" if blocked and i < end else "reached-target"
     clearance = (oracle_clearance_to(samples[i], blockers, known) if status == "blocked"
@@ -265,7 +256,7 @@ def test_stop_short_of_a_box_only_a_robot_link_crosses():
     full = lp.KnownEnvironment.initial(truth, cfg.sensing_radius).fully_revealed()
     jb, rows = _first_blocking_index(samples, 0, full)
     assert (jb, rows.tolist()) == (8, [1])
-    assert segment_feasible(samples[8], samples[9], full)
+    assert oracle_segment_feasible(samples[8], samples[9], full)
 
     known = lp.KnownEnvironment.initial(truth, cfg.sensing_radius)
     motion, after = assert_same_motion(path, known, cfg)

@@ -1,5 +1,9 @@
 """Replanning loop: motion, stop rule, statuses, text outputs."""
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,8 @@ import latticeplan as lp
 from latticeplan.graph import GenConfig
 from latticeplan.planner import (PlannerConfig, densify, lattice_capacity,
                                  metrics_text, plan, trajectory_text)
+
+from geometry_oracles import oracle_segment_feasible
 
 
 def _wall_world():
@@ -59,7 +65,7 @@ def test_trajectory_collision_free_against_ground_truth():
     res = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     full = lp.KnownEnvironment.initial(truth, 0.06).fully_revealed()
     for a, b in zip(res.full_trajectory, res.full_trajectory[1:]):
-        assert lp.geometry.segment_feasible(a, b, full)
+        assert oracle_segment_feasible(a, b, full)
 
 
 def _sealed_world():
@@ -110,9 +116,19 @@ def test_infeasible_start_raises():
 
 
 def test_lattice_capacity_counts_grid_points():
+    """floor(span / step) + 1 per axis and robot, as an exact Python
+    integer, with no cast warning: also beyond int64, and where the span or
+    the quotient overflows a float."""
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [])
     assert lattice_capacity(truth, 0.5, 2) == 9      # 3 x 3
     assert lattice_capacity(truth, 0.5, 4) == 81     # two robots
+    huge = lp.GroundTruth.create(3, [0, 0, 0], [1e308] * 3, [])
+    wide = lp.GroundTruth.create(1, [-1e308], [1e308], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lattice_capacity(huge, 0.05, 3) == (math.floor(Fraction(1e308) / Fraction(0.05))
+                                                   + 1) ** 3
+        assert lattice_capacity(wide, 0.5, 1) == 4 * int(1e308) + 1
 
 
 def test_text_outputs_are_stable():

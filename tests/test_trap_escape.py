@@ -9,12 +9,12 @@ import pytest
 import latticeplan as lp
 from latticeplan import graph, trap_escape
 from latticeplan.environment import distance_to_revealed
-from latticeplan.geometry import point_feasible, segment_feasible
-from latticeplan.graph import (GenConfig, candidate_admissible, candidate_open, generate_graph,
-                               group_steps, move_rows)
+from latticeplan.graph import GenConfig, generate_graph, group_steps, move_rows
 from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
+from geometry_oracles import (oracle_candidate_admissible, oracle_candidate_open,
+                              oracle_point_feasible, oracle_segment_feasible)
 from test_graph import lattice_key, step_moves
 
 
@@ -159,7 +159,8 @@ def _in_escape_set_loop(g, pool, env, steps):
     for x in _near_top_loop(g, pool):
         p_x = g.potential_of(x)
         for q, _ in step_moves(g, x, steps):
-            if lp.distance(q, g.target) < p_x and candidate_open(g, q, lattice_key(q, g), env):
+            if lp.distance(q, g.target) < p_x and oracle_candidate_open(
+                    g, q, lattice_key(q, g), env):
                 return True
     return False
 
@@ -167,7 +168,8 @@ def _in_escape_set_loop(g, pool, env, steps):
 def _restricted_search_scan(g, pool, done, blocks, env, cfg):
     """The search the heap replaced: scan the whole pool for its lowest
     vertex not yet done, admit its moves one by one with
-    `candidate_admissible`, and test every near-top move after every step."""
+    `oracle_candidate_admissible`, and test every near-top move after every
+    step."""
     added = []
     escaped = _in_escape_set_loop(g, pool, env, blocks.steps)
     while not escaped:
@@ -178,7 +180,7 @@ def _restricted_search_scan(g, pool, done, blocks, env, cfg):
         admitted = [(q, key, lp.distance(q, g.target))
                     for q, key in step_moves(g, vid, blocks.steps)
                     if (blocks.keep is None or blocks.keep(q[None])[0])
-                    and candidate_admissible(g, vid, q, key, env, cfg)]
+                    and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         new_ids = graph.insert_admitted(g, vid, admitted, env, cfg)
         done.add(vid)
         pool.extend(new_ids)
@@ -191,11 +193,13 @@ def _restricted_search_scan(g, pool, done, blocks, env, cfg):
 
 def _in_escape_set_walk(g, pool, env, steps, closed):
     """The vertex-by-vertex walk: each near-top vertex not yet closed is
-    tested move by move with `candidate_open`, and closed when none opens."""
+    tested move by move with `oracle_candidate_open`, and closed when none
+    opens."""
     for v in trap_escape._near_top(g, pool):
         if v not in closed:
             if any(lp.distance(q, g.target) < g.potential_of(v)
-                   and candidate_open(g, q, key, env) for q, key in step_moves(g, v, steps)):
+                   and oracle_candidate_open(g, q, key, env)
+                   for q, key in step_moves(g, v, steps)):
                 return True
             closed.add(v)
     return False
@@ -203,7 +207,7 @@ def _in_escape_set_walk(g, pool, env, steps, closed):
 
 def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
     """In both escape modes, with 2, 3 and 4 robots, every batched admission
-    admits the moves `candidate_admissible` (and the wall-hugging mask)
+    admits the moves `oracle_candidate_admissible` (and the wall-hugging mask)
     admits, with the same keys, coordinates and potentials (`==`), and every
     batched escape-set test answers and closes as the per-move walk does."""
     admitted, in_escape_set = graph.MoveBlocks.admitted, trap_escape._in_escape_set
@@ -217,14 +221,15 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
         moves = step_moves(g, vid, blocks.steps)
         kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
-                if ok and candidate_admissible(g, vid, q, key, env, cfg)]
+                if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
         v = g.coords[vid]
         seen["formation-only"] += sum(
-            key not in g.key_map and point_feasible(q, env) and segment_feasible(v, q, env)
-            and not candidate_admissible(g, vid, q, key, env, cfg) for q, key in moves)
+            key not in g.key_map and oracle_point_feasible(q, env)
+            and oracle_segment_feasible(v, q, env)
+            and not oracle_candidate_admissible(g, vid, q, key, env, cfg) for q, key in moves)
         seen["group-moves"] += bool((np.count_nonzero(blocks.steps, axis=1) > 1).any())
         seen["masked"] += blocks.keep is not None
         return got
