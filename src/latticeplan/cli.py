@@ -5,9 +5,11 @@ search region and check it contains the planned trajectory), batch (plan
 several scenarios and aggregate metrics), validate (parse-check only).
 
 Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted
-(vertex budget or memory), 4 scenario parse/validation failure, a robot
-stepping into a box it never sensed or a region pitch too coarse to connect
-start and target, 5 internal error.
+(vertex budget or memory), 4 invalid input: a scenario file that cannot be
+read as UTF-8 text, or fails to parse or validate, an --out path that
+cannot be a directory (checked before planning), a robot stepping into a
+box it never sensed or a region pitch too coarse to connect start and
+target, 5 internal error.
 """
 
 from __future__ import annotations
@@ -32,8 +34,18 @@ EXIT_SCENARIO = 4
 EXIT_INTERNAL = 5
 
 
+class UsageError(Exception):
+    """A command-line argument the command cannot use."""
+
+
 def _load_scenario(path: str, overrides: List[str]) -> Scenario:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                            f"at offset {exc.start}") from None
     for ov in overrides:
         if "=" not in ov:
             raise ScenarioError(f"override {ov!r} is not KEY=VALUE")
@@ -48,18 +60,22 @@ def _status_code(result: PlanResult) -> int:
 
 
 def _out_dir(args) -> Optional[Path]:
+    """Create the --out directory; the commands call this before planning."""
     if args.out is None:
         return None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"--out {args.out} is not a directory") from None
     return out
 
 
 def run_plan(args) -> int:
     sc = _load_scenario(args.scenario, args.override)
+    out = _out_dir(args)
     truth = sc.ground_truth()
     result = plan(truth, sc.start, sc.target, sc.planner_config())
-    out = _out_dir(args)
     if out is not None:
         (out / "trajectory.csv").write_text(trajectory_text(result))
         for i, seg in enumerate(result.segments):
@@ -83,6 +99,7 @@ def run_region(args) -> int:
     if sc.dim * sc.robots > 3:
         raise ScenarioError("region construction supports configurations of at "
                             "most 3 numbers (one robot in 2D or 3D)")
+    out = _out_dir(args)
     truth = sc.ground_truth()
     result = plan(truth, sc.start, sc.target, sc.planner_config())
     code = _status_code(result)
@@ -108,7 +125,6 @@ def run_region(args) -> int:
         # Test hook: shifting the region by +s equals shifting samples by -s.
         samples = [np.asarray(x) - sc.region_shift for x in samples]
     contained = fpe.contains_path(region, samples)
-    out = _out_dir(args)
     if out is not None:
         (out / "region.txt").write_text(fpe.region_dump(region))
         (out / "trajectory.csv").write_text(trajectory_text(result))
@@ -124,6 +140,7 @@ def run_region(args) -> int:
 def run_batch(args) -> int:
     rows = []
     worst = EXIT_OK
+    out = _out_dir(args)
     for path in args.scenario:
         sc = _load_scenario(path, args.override)
         result = plan(sc.ground_truth(), sc.start, sc.target, sc.planner_config())
@@ -132,7 +149,6 @@ def run_batch(args) -> int:
         worst = max(worst, _status_code(result))
         print(f"{path}: {result.status}")
     table = "scenario,status," + header + "\n" + "\n".join(rows) + "\n"
-    out = _out_dir(args)
     if out is not None:
         (out / "batch_metrics.csv").write_text(table)
     else:
@@ -190,8 +206,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except FileNotFoundError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except ModelViolationError as exc:
         print(f"scenario error: {exc}; raise sensing_radius to at least the "

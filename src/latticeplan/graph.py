@@ -16,12 +16,16 @@ segment or, for a formation, `rows_formation_feasible` (the band at the end
 point and over the motion, the sampled robot-to-robot links and the
 segments).  `MoveBlocks` runs it over the moves of many vertices in passes
 of at most `_ADMIT_ROWS` moves and keeps every move's verdict and
-potential.  These depend only on the environment, which is fixed while a
-tree grows, so expanding a vertex later only looks its moves' keys up.  The
-main loop prepares every vertex inserted since its last block; a restricted
-escape search, with its own moves, prepares a vertex from before the search
-alone and the vertices it added in blocks the same way.  A target link is
-`formation_segment_feasible`, one move through the same kernels.
+potential.  These depend only on a vertex's floats and the environment,
+which is fixed while a tree grows, so expanding a vertex later only looks
+its moves' keys up.  The main loop prepares every vertex inserted since its
+last block.  When the vertex it pops is the root or a child of the vertex
+it expanded just before, that block's last pass also admits the greedy
+`descent` ahead of it, as far as the tree followed the last one allows,
+and the later pops along it copy its rows instead of preparing a block.
+A restricted escape search, with its own moves, prepares a vertex from
+before the search alone and the vertices it added in blocks.  A target
+link is `formation_segment_feasible`, one move through the same kernels.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -220,6 +224,25 @@ def move_rows(v: np.ndarray, steps: np.ndarray, step: float) -> np.ndarray:
     return q
 
 
+def descent(g: SearchGraph, vid: int, count: int) -> np.ndarray:
+    """Up to `count` points (N, n) of the greedy descent from vertex vid:
+    each steps the coordinate farthest from the target (the lowest on ties)
+    by one pitch toward it, while that gap exceeds half a pitch.  A point
+    is built as `MoveBlocks.admitted` builds a move, so a vertex reached
+    along the descent has exactly its floats."""
+    x, t, step = g._xy[vid].tolist(), g.target.tolist(), g.step
+    out: List[List[float]] = []
+    while len(out) < count:
+        gaps = [abs(b - a) for a, b in zip(x, t)]
+        c = gaps.index(max(gaps))
+        if gaps[c] <= 0.5 * step:
+            break
+        x = list(x)
+        x[c] += (1 if t[c] > x[c] else -1) * step
+        out.append(x)
+    return np.array(out, dtype=float).reshape(-1, g.n)
+
+
 class MoveBlocks:
     """Admission results of the moves `steps` (M, n) by vertex id:
     `passed[v, m]` holds whether move m of vertex v passes `admit_rows` and
@@ -234,28 +257,64 @@ class MoveBlocks:
         self.pot = np.empty((64, len(steps)), dtype=float)
         # Per move, its moved coordinates and their signs.
         self._moves = [[(c, d) for c, d in enumerate(s) if d] for s in steps.tolist()]
+        # The last descent admitted ahead: its points' row index by coordinate
+        # bytes, compact copies of their rows, and the pops it served.
+        self._ahead: dict = {}
+        self._ahead_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._followed: Optional[int] = None
 
-    def prepare(self, g: SearchGraph, first: int, last: int, env: KnownEnvironment,
-                cfg: GenConfig) -> None:
-        """Test the moves of the vertices [first, last) in passes of at most
-        `_ADMIT_ROWS` moves, which bound the kernels' work arrays."""
-        m = len(self.steps)
+    def _reserve(self, last: int) -> None:
         if last > len(self.pot):
             size = 1 << (last - 1).bit_length()
-            self.passed = np.resize(self.passed, (size, m))
-            self.pot = np.resize(self.pot, (size, m))
+            self.passed = np.resize(self.passed, (size, len(self.steps)))
+            self.pot = np.resize(self.pot, (size, len(self.steps)))
+
+    def prepare(self, g: SearchGraph, first: int, last: int, env: KnownEnvironment,
+                cfg: GenConfig, ahead: Optional[int] = None) -> None:
+        """Test the moves of the vertices [first, last) in passes of at most
+        `_ADMIT_ROWS` moves, which bound the kernels' work arrays.  With
+        `ahead`, a vertex id, the last pass also tests the moves of points of
+        the greedy descent from that vertex, and keeps their rows for
+        `recall` in place of the previous descent's.  It takes as many as
+        fill the pass, but at most 2f + 2 once a descent served f pops: where
+        the tree leaves each descent early, most of its points cost rows and
+        save no pass."""
+        m = len(self.steps)
+        self._reserve(last)
         per = max(_ADMIT_ROWS // m, 1)
+        reach = per if self._followed is None else 2 * self._followed + 2
         for s in range(first, last, per):
             rows = slice(s, min(s + per, last))
             v = g._xy[rows]
+            b = len(v)
+            if ahead is not None and rows.stop == last:
+                v = np.concatenate([v, descent(g, ahead, min(per - b, reach))])
             q = move_rows(v, self.steps, g.step).reshape(-1, g.n)
             ok = admit_rows(np.repeat(v, m, axis=0), q, env, cfg)
             if self.keep is not None:
                 ok &= self.keep(q)
             d = q - g.target
-            self.passed[rows] = ok.reshape(-1, m)
-            self.pot[rows] = np.sqrt(np.vecdot(d, d)).reshape(-1, m)  # bit-identical to distance()
+            ok = ok.reshape(-1, m)
+            pot = np.sqrt(np.vecdot(d, d)).reshape(-1, m)  # bit-identical to distance()
+            self.passed[rows], self.pot[rows] = ok[:b], pot[:b]
+        if ahead is not None:
+            self._ahead = {x.tobytes(): i for i, x in enumerate(v[b:])}
+            self._ahead_rows = (ok[b:].copy(), pot[b:].copy())
+            self._followed = 0
         self.prepared = max(self.prepared, last)
+
+    def recall(self, g: SearchGraph, vid: int) -> bool:
+        """Copy the rows of vertex vid from the last descent admitted ahead,
+        if the vertex has the coordinates of one of its points: a move's
+        verdict and potential depend only on the vertex's floats and on the
+        environment, fixed while a tree grows."""
+        i = self._ahead.get(g._xy[vid].tobytes())
+        if i is None:
+            return False
+        self._followed += 1
+        self._reserve(vid + 1)
+        self.passed[vid], self.pot[vid] = self._ahead_rows[0][i], self._ahead_rows[1][i]
+        return True
 
     def admitted(self, g: SearchGraph, vid: int) -> List[Admitted]:
         """The moves of a prepared vertex that are admitted now: passed when
@@ -330,12 +389,17 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
     from . import trap_escape  # deferred: trap_escape builds on this module
 
     blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n))
+    last = None  # the vertex expanded just before; the root's ancestor is None
     while g.target_id is None:
         vid = g.argmin_unexpanded()
         if vid is None:
             return g
-        if vid >= blocks.prepared:
-            blocks.prepare(g, blocks.prepared, g.count, env, cfg)
+        if vid >= blocks.prepared and not blocks.recall(g, vid):
+            # A vertex on the greedy descent is likely followed by the
+            # descent ahead of it: admit that in the same pass.
+            ahead = vid if g.ancestor[vid] == last else None
+            blocks.prepare(g, blocks.prepared, g.count, env, cfg, ahead)
+        last = vid
         base_pot = g.potential_of(vid)
         new_ids = insert_admitted(g, vid, blocks.admitted(g, vid), env, cfg)
         g.mark_expanded(vid)

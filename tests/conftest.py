@@ -9,6 +9,10 @@ import pytest
 import latticeplan as lp
 
 MAZE_STEP = 0.03
+# Vertex budget of a maze run, about twice the largest tree a test maze grows
+# (109): a fault that re-admits visited vertices fails fast instead of
+# growing toward the default budget of 500,000.
+MAZE_BUDGET = 250
 TUBE_RADIUS = 0.045  # clear-tube radius kept around every carved corridor
 
 
@@ -115,6 +119,6 @@ def maze_results():
     out = []
     for seed in range(50):
         truth, start, target = make_maze(seed)
-        cfg = lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)
+        cfg = lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET)
         out.append((truth, start, target, cfg, lp.plan(truth, start, target, cfg)))
     return out

@@ -16,7 +16,7 @@ from latticeplan.pathfind import backtrace
 from latticeplan.planner import (densify, lattice_capacity, metrics_text,
                                  trajectory_text)
 
-from conftest import (MAZE_STEP, containment_scenes, make_corridor,
+from conftest import (MAZE_BUDGET, MAZE_STEP, containment_scenes, make_corridor,
                       make_deadend, make_maze, make_sealed)
 from geometry_oracles import oracle_point_feasible
 from search_oracles import bfs_path, dijkstra_path
@@ -41,7 +41,7 @@ def test_completeness_50_random_mazes(maze_results):
 def test_completeness_runtime_bound():
     for seed in (0, 17, 42):
         truth, start, target = make_maze(seed)
-        cfg = lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)
+        cfg = lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET)
         t0 = time.time()
         lp.plan(truth, start, target, cfg)
         assert time.time() - t0 < 5.0
@@ -179,7 +179,8 @@ def test_region_contains_planner_trajectory_5_of_5():
     expanded = 0
     for name, prims, start, target in containment_scenes():
         truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims)
-        cfg = lp.PlannerConfig(step=step, sensing_radius=0.12)
+        cfg = lp.PlannerConfig(step=step, sensing_radius=0.12,
+                               max_vertices=200)  # largest tree 94
         res = lp.plan(truth, start, target, cfg)
         env = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
         lat = fpe.Lattice.build(env, start, step, target)
@@ -198,10 +199,11 @@ def test_region_contains_planner_trajectory_5_of_5():
 
 def test_fixed_shape_escape_halves_vertex_count():
     truth, start, target = make_deadend()
+    # Each budget is about twice the run's tree (1,561 and 189).
     base = lp.plan(truth, start, target,
-                   lp.PlannerConfig(step=0.04, sensing_radius=0.12))
+                   lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=3200))
     esc = lp.plan(truth, start, target,
-                  lp.PlannerConfig(step=0.04, sensing_radius=0.12,
+                  lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=400,
                                    escape=lp.TrapEscapePolicy(mode="fixed-shape")))
     assert base.status == "success" and esc.status == "success"
     assert esc.metrics["max_vertices"] <= 0.5 * base.metrics["max_vertices"], (
@@ -212,7 +214,8 @@ def test_fixed_shape_escape_halves_vertex_count():
 
 def _corridor_vertices(k: int, dmax: float = 0.13) -> int:
     truth, start, target = make_corridor(k, dmax=dmax)
-    res = lp.plan(truth, start, target, lp.PlannerConfig(step=0.04, sensing_radius=0.1))
+    res = lp.plan(truth, start, target, lp.PlannerConfig(  # largest tree 1,674
+        step=0.04, sensing_radius=0.1, max_vertices=3500))
     assert res.status == "success"
     return sum(s.graph.count for s in res.segments)
 

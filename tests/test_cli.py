@@ -1,10 +1,11 @@
 """Command line interface: exit codes, outputs, determinism."""
 
+import os
 from pathlib import Path
 
 import pytest
 
-from latticeplan import fpe
+from latticeplan import cli, fpe
 from latticeplan.cli import main
 
 OPEN_SCENARIO = """\
@@ -98,6 +99,46 @@ def test_validate_bad_file(tmp_path):
 
 def test_validate_missing_file(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "nope.scn")]) == 4
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "region", "batch"])
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory", "no-read-permission"])
+def test_unreadable_scenario_path_is_scenario_error(tmp_path, capsys, monkeypatch,
+                                                    command, kind):
+    """A scenario path that cannot be read as text exits 4 with one line
+    that names the path, before anything is planned."""
+    p = tmp_path / "scene.scn"
+    if kind == "not-utf-8":
+        p.write_bytes(OPEN_SCENARIO.replace("box", "b\xe9te").encode("latin-1"))
+        reason = "is not UTF-8 text: byte 0xe9 at offset"
+    elif kind == "directory":
+        p.mkdir()
+        reason = "Is a directory"
+    else:
+        p.write_text(OPEN_SCENARIO)
+        p.chmod(0)
+        if os.access(p, os.R_OK):  # a superuser reads it anyway: raise what others get
+            def denied(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(Path, "read_text", denied)
+        reason = "Permission denied"
+    monkeypatch.setattr(cli, "plan", None)  # nothing may be planned
+    assert main([command, "--scenario", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1, err
+    assert str(p) in err and reason in err, err
+
+
+@pytest.mark.parametrize("command", ["plan", "region", "batch"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_fails_before_planning(scn, tmp_path, capsys,
+                                                              monkeypatch, command, out):
+    (tmp_path / "file").write_text("not a directory\n")
+    monkeypatch.setattr(cli, "plan", None)  # nothing may be planned
+    path = str(tmp_path / out)
+    assert main([command, "--scenario", str(scn), "--out", path]) == 4
+    assert capsys.readouterr().err == f"error: --out {path} is not a directory\n"
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_plan_success_writes_outputs(scn, tmp_path):

@@ -18,7 +18,7 @@ import numpy as np
 import latticeplan as lp
 from latticeplan.planner import lattice_capacity, metrics_text, trajectory_text
 
-from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
+from conftest import MAZE_BUDGET, MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
 
 GOLDEN = "2ae5de79a618a9993c34de1ab2b34ca5038c2f632adc51c9655c992f59081f56"
 GOLDEN_ESCAPES = "ecedd773b59b91a87a0214e7163a279185f1b08107e41649c8393be82aaa30cb"
@@ -27,13 +27,17 @@ GOLDEN_ESCAPES = "ecedd773b59b91a87a0214e7163a279185f1b08107e41649c8393be82aaa30
 def _runs():
     for seed in range(0, 50, 5):
         truth, start, target = make_maze(seed)
-        yield truth, start, target, lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)
+        yield truth, start, target, lp.PlannerConfig(
+            step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET)
+    # Each budget is about twice the largest tree of its runs (266, 189).
     for k in (1, 2, 3):
         truth, start, target = make_corridor(k)
-        yield truth, start, target, lp.PlannerConfig(step=0.04, sensing_radius=0.1)
+        yield truth, start, target, lp.PlannerConfig(step=0.04, sensing_radius=0.1,
+                                                     max_vertices=600)
     truth, start, target = make_deadend()
     yield truth, start, target, lp.PlannerConfig(
-        step=0.04, sensing_radius=0.12, escape=lp.TrapEscapePolicy(mode="fixed-shape"))
+        step=0.04, sensing_radius=0.12, escape=lp.TrapEscapePolicy(mode="fixed-shape"),
+        max_vertices=400)
     truth, start, target = make_sealed(0)
     yield truth, start, target, lp.PlannerConfig(
         step=MAZE_STEP, sensing_radius=0.1,
@@ -57,8 +61,9 @@ def _escape_runs():
             (make_deadend(2), 0.06, "near-obstacle"),
             (make_deadend(3), 0.04, "fixed-shape"),
             (_deadend_3d(), 0.06, "fixed-shape")):
-        yield truth, start, target, lp.PlannerConfig(
-            step=step, sensing_radius=0.12, escape=lp.TrapEscapePolicy(mode=mode))
+        yield truth, start, target, lp.PlannerConfig(  # largest tree 454
+            step=step, sensing_radius=0.12, escape=lp.TrapEscapePolicy(mode=mode),
+            max_vertices=1000)
 
 
 def output_digest(runs=None) -> str:

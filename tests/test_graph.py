@@ -297,15 +297,24 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
     escape's mask) admits from the same vertex, with the same keys and
     coordinates.  Per move, the block's flag equals the point, segment and,
     for a formation, band and motion oracles, and its potential equals
-    `distance` to the target exactly."""
+    `distance` to the target exactly.  This holds as well for the vertices
+    served from the rows of a descent admitted ahead, which a maze and a
+    formation run both use."""
     admitted, prepare = graph.MoveBlocks.admitted, graph.MoveBlocks.prepare
+    recall = graph.MoveBlocks.recall
     seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0,
             "8-D": 0}
+    recalled = {}
     tree = {}
 
-    def capturing_prepare(blocks, g, first, last, env, cfg):
+    def counting_recall(blocks, g, vid):
+        hit = recall(blocks, g, vid)
+        recalled[tree["name"]] = recalled.get(tree["name"], 0) + hit
+        return hit
+
+    def capturing_prepare(blocks, g, first, last, env, cfg, *ahead):
         tree.update(env=env, cfg=cfg)  # fixed while one tree grows
-        return prepare(blocks, g, first, last, env, cfg)
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
 
     def checked(blocks, g, vid):
         env, cfg = tree["env"], tree["cfg"]
@@ -338,17 +347,72 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
 
     monkeypatch.setattr(graph.MoveBlocks, "prepare", capturing_prepare)
     monkeypatch.setattr(graph.MoveBlocks, "admitted", checked)
+    monkeypatch.setattr(graph.MoveBlocks, "recall", counting_recall)
     runs = _block_runs()
     truth, start, target = make_corridor(4, dmax=0.25)
     runs.append(("corridor-4", truth, start, target,
                  lp.PlannerConfig(step=0.04, sensing_radius=0.12)))
     for name, truth, start, target, cfg in runs:
+        tree["name"] = name
         res = lp.plan(truth, start, target, cfg)
         want = "no-feasible-path" if name.startswith("sealed") else "success"
         assert res.status == want, name
+    assert recalled["maze"] > 0 and recalled["corridor-4"] > 0, recalled
     assert seen["expansions"] > 3000 and seen["8-D"] > 50, seen
     assert seen["segment-only"] > 0 and seen["on-face"] > 0, seen
     assert seen["formation-only"] > 0, seen
+
+
+@pytest.mark.parametrize("start, target", [([0.1, 0.5], [0.9, 0.5]),
+                                           ([0.1, 0.1], [0.7, 0.87])])
+def test_descent_admitted_ahead_takes_one_pass(monkeypatch, start, target):
+    """In an open world the tree is one greedy descent of 30 or more steps:
+    the root's admission pass also admits the descent ahead, so the main
+    loop prepares at most twice, not once per expansion."""
+    prepare, calls = graph.MoveBlocks.prepare, []
+
+    def counting_prepare(blocks, g, first, last, env, cfg, *ahead):
+        calls.append((first, last))
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
+
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", counting_prepare)
+    g = generate_graph(start, target, _empty_env(), GenConfig(step=0.02))
+    assert g.target_id is not None and not g.trapped
+    assert sum(g.is_expanded(v) for v in range(g.count)) >= 30
+    assert len(calls) <= 2, calls
+
+
+def test_descent_ahead_shrinks_to_what_the_tree_follows(monkeypatch):
+    """Flooding the outside of sealed rooms, the tree leaves most descents
+    after a pop or two: once a descent served f pops, the next one admits
+    at most 2f + 2 points, so the rows admitted ahead stay few."""
+    prepare, descent = graph.MoveBlocks.prepare, graph.descent
+    seen = {"capped": 0, "points": 0}
+    state = {}
+
+    def recording_descent(g, vid, count):
+        points = descent(g, vid, count)
+        followed = state["blocks"]._followed
+        if followed is not None:
+            assert len(points) <= 2 * followed + 2
+            seen["capped"] += 1
+        seen["points"] += len(points)
+        return points
+
+    def tracking_prepare(blocks, g, first, last, env, cfg, *ahead):
+        state["blocks"] = blocks
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
+
+    monkeypatch.setattr(graph, "descent", recording_descent)
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", tracking_prepare)
+    vertices = 0
+    for seed in range(3):
+        truth, start, target = make_sealed(seed)
+        res = lp.plan(truth, start, target, lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1))
+        assert res.status == "no-feasible-path"
+        vertices += res.metrics["max_vertices"]
+    # Descents as long as a pass allows would admit 0.23 points per vertex.
+    assert seen["capped"] > 50 and seen["points"] < 0.15 * vertices, (seen, vertices)
 
 
 def test_admission_memory_stays_bounded_on_large_blocks():

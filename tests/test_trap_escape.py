@@ -246,9 +246,9 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
 
     prepare = graph.MoveBlocks.prepare
 
-    def capturing_prepare(blocks, g, first, last, env, cfg):
+    def capturing_prepare(blocks, g, first, last, env, cfg, *ahead):
         tree.update(env=env, cfg=cfg)
-        return prepare(blocks, g, first, last, env, cfg)
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
 
     monkeypatch.setattr(graph.MoveBlocks, "prepare", capturing_prepare)
     monkeypatch.setattr(graph.MoveBlocks, "admitted", checked_admitted)
@@ -349,10 +349,10 @@ def test_restricted_search_prepares_added_vertices_in_blocks(monkeypatch):
         finally:
             del state["blocks"]
 
-    def recording_prepare(blocks, g, first, last, env, cfg):
+    def recording_prepare(blocks, g, first, last, env, cfg, *ahead):
         if state.get("blocks") is blocks:
             spans.append((first, last, state["start"]))
-        return prepare(blocks, g, first, last, env, cfg)
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
 
     monkeypatch.setattr(trap_escape, "_restricted_search", tracking_search)
     monkeypatch.setattr(graph.MoveBlocks, "prepare", recording_prepare)
