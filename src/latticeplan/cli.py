@@ -5,11 +5,12 @@ search region and check it contains the planned trajectory), batch (plan
 several scenarios and aggregate metrics), validate (parse-check only).
 
 Exit codes: 0 success, 2 no feasible path, 3 resource limit exhausted
-(vertex budget or memory), 4 invalid input: a scenario file that cannot be
-read as UTF-8 text, or fails to parse or validate, an --out path that
-cannot be a directory (checked before planning), a robot stepping into a
-box it never sensed or a region pitch too coarse to connect start and
-target, 5 internal error.
+(vertex budget or memory), 4 invalid input: a command line the parser
+rejects (a missing --scenario, an unknown subcommand), a scenario file that
+cannot be read as UTF-8 text, or fails to parse or validate, an --out path
+that cannot be a directory (checked before planning), a robot stepping into
+a box it never sensed or a region pitch too coarse to connect start and
+target, 5 internal error.  --help exits 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ EXIT_INTERNAL = 5
 
 class UsageError(Exception):
     """A command-line argument the command cannot use."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are invalid input (exit 4), not exit
+    2, which argparse shares with "no feasible path"."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_scenario(path: str, overrides: List[str]) -> Scenario:
@@ -163,7 +172,7 @@ def run_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticeplan",
         description="Potential-guided lattice-tree planning in unknown environments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -15,17 +15,20 @@ bounds and the revealed box interiors at the end point, then every robot's
 segment or, for a formation, `rows_formation_feasible` (the band at the end
 point and over the motion, the sampled robot-to-robot links and the
 segments).  `MoveBlocks` runs it over the moves of many vertices in passes
-of at most `_ADMIT_ROWS` moves and keeps every move's verdict and
-potential.  These depend only on a vertex's floats and the environment,
-which is fixed while a tree grows, so expanding a vertex later only looks
-its moves' keys up.  The main loop prepares every vertex inserted since its
-last block.  When the vertex it pops is the root or a child of the vertex
-it expanded just before, that block's last pass also admits the greedy
-`descent` ahead of it, as far as the tree followed the last one allows,
-and the later pops along it copy its rows instead of preparing a block.
-A restricted escape search, with its own moves, prepares a vertex from
-before the search alone and the vertices it added in blocks.  A target
-link is `formation_segment_feasible`, one move through the same kernels.
+of at most `_ADMIT_ROWS` moves and keeps every move's verdict and potential
+and, for an escape, its end-point test and, in a tree that hugs walls, its
+end point's clearance.  These depend only on a vertex's floats and the
+environment, which is fixed while a tree grows, so expanding a vertex later
+only looks its moves' keys up.  The main loop prepares every vertex
+inserted since its last block.  When the vertex it pops is the root or a
+child of the vertex it expanded just before, that block's last pass also
+admits the greedy `descent` ahead of it, as far as the tree followed the
+last one allows, and the later pops along it copy its rows instead of
+preparing a block.  Wall hugging moves as the main loop does, so it expands
+with the tree's own blocks, its shell a mask on the clearance rows; a
+fixed-shape escape, with its own moves, prepares a vertex from before the
+search alone and the vertices it added in blocks.  A target link is
+`formation_segment_feasible`, one move through the same kernels.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -35,11 +38,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .environment import KnownEnvironment
+from .environment import KnownEnvironment, clearances
 from .errors import ResourceLimitError
 from .geometry import (as_config, distance, formation_segment_feasible, rows_formation_feasible,
                        rows_multi_robot_feasible, rows_point_feasible, rows_segment_feasible)
@@ -90,7 +93,7 @@ class SearchGraph:
         self.keys: List[Optional[Key]] = []
         self.key_map: dict = {}
         self._pot = np.empty(64, dtype=float)
-        self._expanded: List[bool] = []
+        self._expanded = bytearray()  # 1 once a vertex is expanded
         self._frontier: List[Tuple[float, int]] = []  # heap of (potential, id)
         self.count = 0
         self.target_id: Optional[int] = None
@@ -111,7 +114,7 @@ class SearchGraph:
         if key is not None:
             self.key_map[key] = vid
         self._pot[vid] = pot_value
-        self._expanded.append(False)
+        self._expanded.append(0)
         heapq.heappush(self._frontier, (pot_value, vid))
         self.count += 1
         return vid
@@ -141,10 +144,14 @@ class SearchGraph:
         return view
 
     def is_expanded(self, vid: int) -> bool:
-        return self._expanded[vid]
+        return bool(self._expanded[vid])
+
+    def expanded_of(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each vertex of the id array ids was expanded."""
+        return np.frombuffer(self._expanded, dtype=bool)[ids]
 
     def mark_expanded(self, vid: int):
-        self._expanded[vid] = True
+        self._expanded[vid] = 1
 
     def argmin_unexpanded(self) -> Optional[int]:
         """Lowest-potential unexpanded vertex; FIFO tie-break by insertion order."""
@@ -178,10 +185,11 @@ def _band(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
     return None if dmin is None or dmax is None else (dmin, dmax)
 
 
-def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
-    """Per configuration row of q (N, n), in one pass: in bounds, outside
-    the revealed boxes and, for a formation, `rows_multi_robot_feasible`."""
-    ok = rows_point_feasible(q, env)
+def open_rows(q: np.ndarray, env: KnownEnvironment, point: np.ndarray) -> np.ndarray:
+    """Per configuration row of q (N, n) whose `rows_point_feasible` is
+    `point`, in one pass: in bounds, outside the revealed boxes and, for a
+    formation, `rows_multi_robot_feasible`."""
+    ok = point.copy()
     band = _band(env)
     if band is not None and ok.any():
         idx = np.flatnonzero(ok)
@@ -189,13 +197,13 @@ def open_rows(q: np.ndarray, env: KnownEnvironment) -> np.ndarray:
     return ok
 
 
-def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment,
-               cfg: GenConfig) -> np.ndarray:
+def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment, cfg: GenConfig,
+               point: Optional[np.ndarray] = None) -> np.ndarray:
     """Per move from row a[r] to row q[r] (N, n), in one pass: the end point
-    in bounds and outside the revealed boxes, and every robot's segment or,
-    for a formation, `rows_formation_feasible` on the rows whose end point
-    passes."""
-    ok = rows_point_feasible(q, env)
+    in bounds and outside the revealed boxes (`point`, where the caller has
+    it), and every robot's segment or, for a formation,
+    `rows_formation_feasible` on the rows whose end point passes."""
+    ok = rows_point_feasible(q, env) if point is None else point.copy()
     band = _band(env)
     if band is None:
         return ok & rows_segment_feasible(a, q, env)
@@ -246,28 +254,40 @@ def descent(g: SearchGraph, vid: int, count: int) -> np.ndarray:
 class MoveBlocks:
     """Admission results of the moves `steps` (M, n) by vertex id:
     `passed[v, m]` holds whether move m of vertex v passes `admit_rows` and
-    the optional row mask `keep`, `pot[v, m]` its potential.  `prepared` is
-    one past the highest id prepared."""
+    `pot[v, m]` its potential; for an escape (`escape` or `clear`),
+    `open[v, m]` whether its end point passes `rows_point_feasible` (for one
+    robot, `open_rows`) and, with `clear`, `clear[v, m]` its end point's
+    `clearances`.  The vertices in [first, prepared) have rows; one below
+    `first` is prepared alone, and the next block begins at `prepared`.
+    `closed` holds the vertices an escape found with no open move of lower
+    potential among `steps`, which no later vertex can open."""
 
-    def __init__(self, steps: np.ndarray, keep=None):
+    def __init__(self, steps: np.ndarray, first: int = 0, escape: bool = False,
+                 clear: bool = False):
+        m = len(steps)
         self.steps = steps
-        self.keep = keep
-        self.prepared = 0
-        self.passed = np.empty((64, len(steps)), dtype=bool)
-        self.pot = np.empty((64, len(steps)), dtype=float)
+        self.first = self.prepared = first
+        self.passed = np.empty((64, m), dtype=bool)
+        self.pot = np.empty((64, m), dtype=float)
+        self.open = np.empty((64, m), dtype=bool) if escape or clear else None
+        self.clear = np.empty((64, m), dtype=float) if clear else None
+        self._tables = [a for a in (self.passed, self.pot, self.open, self.clear) if a is not None]
+        self.closed: Set[int] = set()
         # Per move, its moved coordinates and their signs.
         self._moves = [[(c, d) for c, d in enumerate(s) if d] for s in steps.tolist()]
         # The last descent admitted ahead: its points' row index by coordinate
         # bytes, compact copies of their rows, and the pops it served.
         self._ahead: dict = {}
-        self._ahead_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._ahead_rows: List[np.ndarray] = []
         self._followed: Optional[int] = None
 
     def _reserve(self, last: int) -> None:
         if last > len(self.pot):
             size = 1 << (last - 1).bit_length()
-            self.passed = np.resize(self.passed, (size, len(self.steps)))
-            self.pot = np.resize(self.pot, (size, len(self.steps)))
+            self.passed, self.pot, self.open, self.clear = tables = [
+                None if a is None else np.resize(a, (size, len(self.steps)))
+                for a in (self.passed, self.pot, self.open, self.clear)]
+            self._tables = [a for a in tables if a is not None]
 
     def prepare(self, g: SearchGraph, first: int, last: int, env: KnownEnvironment,
                 cfg: GenConfig, ahead: Optional[int] = None) -> None:
@@ -290,38 +310,48 @@ class MoveBlocks:
             if ahead is not None and rows.stop == last:
                 v = np.concatenate([v, descent(g, ahead, min(per - b, reach))])
             q = move_rows(v, self.steps, g.step).reshape(-1, g.n)
-            ok = admit_rows(np.repeat(v, m, axis=0), q, env, cfg)
-            if self.keep is not None:
-                ok &= self.keep(q)
+            point = rows_point_feasible(q, env)
+            ok = admit_rows(np.repeat(v, m, axis=0), q, env, cfg, point).reshape(-1, m)
             d = q - g.target
-            ok = ok.reshape(-1, m)
             pot = np.sqrt(np.vecdot(d, d)).reshape(-1, m)  # bit-identical to distance()
-            self.passed[rows], self.pot[rows] = ok[:b], pot[:b]
+            found = [ok, pot]
+            if self.open is not None:
+                found.append(point.reshape(-1, m))
+            if self.clear is not None:
+                found.append(clearances(q, env).reshape(-1, m))
+            for a, r in zip(self._tables, found):
+                a[rows] = r[:b]
         if ahead is not None:
             self._ahead = {x.tobytes(): i for i, x in enumerate(v[b:])}
-            self._ahead_rows = (ok[b:].copy(), pot[b:].copy())
+            self._ahead_rows = [r[b:].copy() for r in found]
             self._followed = 0
         self.prepared = max(self.prepared, last)
 
     def recall(self, g: SearchGraph, vid: int) -> bool:
         """Copy the rows of vertex vid from the last descent admitted ahead,
         if the vertex has the coordinates of one of its points: a move's
-        verdict and potential depend only on the vertex's floats and on the
-        environment, fixed while a tree grows."""
+        rows depend only on the vertex's floats and on the environment,
+        fixed while a tree grows."""
         i = self._ahead.get(g._xy[vid].tobytes())
         if i is None:
             return False
         self._followed += 1
         self._reserve(vid + 1)
-        self.passed[vid], self.pot[vid] = self._ahead_rows[0][i], self._ahead_rows[1][i]
+        rows = self._ahead_rows
+        self.passed[vid], self.pot[vid] = rows[0][i], rows[1][i]
+        if self.open is not None:
+            for a, r in zip(self._tables[2:], rows[2:]):
+                a[vid] = r[i]
         return True
 
-    def admitted(self, g: SearchGraph, vid: int) -> List[Admitted]:
+    def admitted(self, g: SearchGraph, vid: int, eps: Optional[float] = None) -> List[Admitted]:
         """The moves of a prepared vertex that are admitted now: passed when
-        prepared and unvisited, in move order."""
+        prepared, with an end-point clearance at most `eps` if given, and
+        unvisited, in move order."""
         v, key, step = g._xy[vid], g.keys[vid], g.step
+        passed = self.passed[vid] if eps is None else self.passed[vid] & (self.clear[vid] <= eps)
         out = []
-        for moved, ok, p in zip(self._moves, self.passed[vid].tolist(), self.pot[vid].tolist()):
+        for moved, ok, p in zip(self._moves, passed.tolist(), self.pot[vid].tolist()):
             if not ok:
                 continue
             k = list(key)
@@ -388,7 +418,10 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
 
     from . import trap_escape  # deferred: trap_escape builds on this module
 
-    blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n))
+    hugs = escape is not None and escape.mode == "near-obstacle"
+    blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n),
+                        clear=hugs)
+    hug = trap_escape.WallHug(blocks) if hugs else None
     last = None  # the vertex expanded just before; the root's ancestor is None
     while g.target_id is None:
         vid = g.argmin_unexpanded()
@@ -408,8 +441,8 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         improved = any(g.potential_of(i) < base_pot for i in new_ids)
         if not improved:
             g.trap_events.append(vid)
-            if escape is not None and escape.mode == "near-obstacle":
-                trap_escape.escape_near_obstacle(g, vid, env, cfg)
+            if hugs:
+                trap_escape.escape_near_obstacle(g, vid, env, cfg, hug)
             elif escape is not None and escape.mode != "none":
                 trap_escape.escape_fixed_shape(g, vid, env, cfg)
     return g

@@ -101,6 +101,28 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "nope.scn")]) == 4
 
 
+@pytest.mark.parametrize("argv, said", [
+    (["plan"], "latticeplan plan: the following arguments are required: --scenario"),
+    (["frobnicate"], "latticeplan: argument command: invalid choice: 'frobnicate'"),
+    ([], "latticeplan: the following arguments are required: command"),
+])
+def test_command_line_the_parser_rejects_is_invalid_input(capsys, monkeypatch, argv, said):
+    """A usage error exits 4, invalid input, with argparse's message on one
+    line; exit 2 means "no feasible path"."""
+    monkeypatch.setattr(cli, "plan", None)  # nothing may be planned
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {said}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latticeplan")
+
+
 @pytest.mark.parametrize("command", ["validate", "plan", "region", "batch"])
 @pytest.mark.parametrize("kind", ["not-utf-8", "directory", "no-read-permission"])
 def test_unreadable_scenario_path_is_scenario_error(tmp_path, capsys, monkeypatch,

@@ -10,9 +10,9 @@ from latticeplan.geometry import as_config
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
-from geometry_oracles import (oracle_candidate_admissible, oracle_formation_motion_feasible,
-                              oracle_multi_robot_feasible, oracle_point_feasible,
-                              oracle_segment_feasible)
+from geometry_oracles import (oracle_candidate_admissible, oracle_distance_to_revealed,
+                              oracle_formation_motion_feasible, oracle_multi_robot_feasible,
+                              oracle_point_feasible, oracle_segment_feasible)
 
 
 class LatticeConsistencyError(ValueError):
@@ -70,7 +70,7 @@ def test_three_step_axis_walk_hand_enumerated():
     its own +x child links the target.  Total 9 vertices, path 0-1-5-8.
     """
     env = _empty_env()
-    g = generate_graph([0.5, 0.5], [0.59, 0.5], env, GenConfig(step=0.03))
+    g = generate_graph([0.5, 0.5], [0.59, 0.5], env, GenConfig(step=0.03, max_vertices=20))
     assert g is not None and g.count == 9
     assert np.allclose(g.coords[1], [0.53, 0.5])
     assert np.allclose(g.coords[5], [0.56, 0.5])
@@ -83,7 +83,7 @@ def test_three_step_axis_walk_hand_enumerated():
 
 def test_one_dimensional_chain():
     env = _empty_env(dim=1)
-    g = generate_graph([0.2], [0.5], env, GenConfig(step=0.1))
+    g = generate_graph([0.2], [0.5], env, GenConfig(step=0.1, max_vertices=10))
     assert g is not None
     # 0.2 -> 0.3 -> 0.4, then 0.4 links the target at distance 0.1.
     path = lp.backtrace(g)
@@ -93,7 +93,7 @@ def test_one_dimensional_chain():
 
 def test_duplicate_candidates_are_pruned():
     env = _empty_env()
-    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05))
+    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05, max_vertices=50))
     keys = [k for k in g.keys if k is not None]
     assert len(keys) == len(set(keys))
 
@@ -123,7 +123,7 @@ def test_empty_graph_when_sealed():
     box = lp.ObstaclePrimitive.box([0.35, 0.35], [0.65, 0.65], known=True)
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [box])
     env = lp.KnownEnvironment.initial(truth, 0.1)
-    g = generate_graph([0.1, 0.1], [0.5, 0.5], env, GenConfig(step=0.04))
+    g = generate_graph([0.1, 0.1], [0.5, 0.5], env, GenConfig(step=0.04, max_vertices=1200))
     assert g.target_id is None and g.count > 1
     assert all(g.is_expanded(v) for v in range(g.count))
 
@@ -137,13 +137,13 @@ def test_resource_limit_distinct_from_empty():
 
 def test_trivial_start_equals_target():
     env = _empty_env()
-    g = generate_graph([0.3, 0.3], [0.3, 0.3], env, GenConfig(step=0.05))
+    g = generate_graph([0.3, 0.3], [0.3, 0.3], env, GenConfig(step=0.05, max_vertices=2))
     assert g.count == 1 and g.target_id == 0
 
 
 def test_root_can_link_target_directly():
     env = _empty_env()
-    g = generate_graph([0.5, 0.5], [0.52, 0.5], env, GenConfig(step=0.05))
+    g = generate_graph([0.5, 0.5], [0.52, 0.5], env, GenConfig(step=0.05, max_vertices=4))
     assert g.count == 2 and g.target_id == 1 and g.ancestor[1] == 0
 
 
@@ -153,14 +153,14 @@ def test_determinism():
                               [lp.ObstaclePrimitive.box([0.4, 0.1], [0.5, 0.8], known=True)]),
         [0.1, 0.3], [0.9, 0.6])
     env = lp.KnownEnvironment.initial(truth, 0.1)
-    g1 = generate_graph(start, target, env, GenConfig(step=0.04))
-    g2 = generate_graph(start, target, env, GenConfig(step=0.04))
+    g1 = generate_graph(start, target, env, GenConfig(step=0.04, max_vertices=200))
+    g2 = generate_graph(start, target, env, GenConfig(step=0.04, max_vertices=200))
     assert g1.dump() == g2.dump()
 
 
 def test_expansion_order_is_lowest_potential_first():
     env = _empty_env()
-    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05))
+    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05, max_vertices=50))
     # Replay: each expanded vertex's potential must have been minimal among
     # vertices inserted before it that were still unexpanded at that time.
     # The insertion order itself provides the audit trail: ancestors are
@@ -173,7 +173,7 @@ def test_expansion_order_is_lowest_potential_first():
 
 def test_potentials_view_is_the_read_only_distance_to_target():
     env = _empty_env()
-    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05))
+    g = generate_graph([0.5, 0.5], [0.9, 0.5], env, GenConfig(step=0.05, max_vertices=50))
     pot = g.potentials
     assert pot.shape == (g.count,) and not pot.flags.writeable
     assert pot.tolist() == [lp.distance(x, g.target) for x in g.coords]
@@ -185,18 +185,18 @@ def _tree_runs():
     runs = []
     truth, start, target = make_sealed(0)
     runs.append(("sealed", truth, start, target,
-                 lp.PlannerConfig(step=0.04, sensing_radius=0.1)))
+                 lp.PlannerConfig(step=0.04, sensing_radius=0.1, max_vertices=1200)))
     truth, start, target = make_maze(3)
     runs.append(("maze", truth, start, target,
-                 lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+                 lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=180)))
     for k in (1, 2, 3):
         truth, start, target = make_corridor(k)
         runs.append((f"corridor-{k}", truth, start, target,
-                     lp.PlannerConfig(step=0.04, sensing_radius=0.12)))
+                     lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=550)))
     truth, start, target = make_deadend()
     for mode, step in (("fixed-shape", 0.04), ("near-obstacle", 0.06)):
         runs.append((f"deadend-{mode}", truth, start, target,
-                     lp.PlannerConfig(step=step, sensing_radius=0.12,
+                     lp.PlannerConfig(step=step, sensing_radius=0.12, max_vertices=900,
                                       escape=lp.TrapEscapePolicy(mode=mode))))
     return runs
 
@@ -261,17 +261,17 @@ def _block_runs():
     for seed in (1, 2):
         truth, start, target = make_sealed(seed)
         runs.append((f"sealed-{seed}", truth, start, target,
-                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=2000)))
     for seed in range(4, 10):
         truth, start, target = make_maze(seed)
         runs.append((f"maze-{seed}", truth, start, target,
-                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)))
+                     lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=220)))
     truth, start, target = _face_world()
     runs.append(("faces", truth, start, target,
-                 lp.PlannerConfig(step=0.0625, sensing_radius=0.1)))
+                 lp.PlannerConfig(step=0.0625, sensing_radius=0.1, max_vertices=120)))
     truth, start, target = _slab_world_3d()
     runs.append(("slab-3d", truth, start, target,
-                 lp.PlannerConfig(step=0.125, sensing_radius=0.15)))
+                 lp.PlannerConfig(step=0.125, sensing_radius=0.15, max_vertices=100)))
     return runs
 
 
@@ -294,16 +294,18 @@ def test_group_steps_and_move_rows_on_literals():
 def test_block_admission_equals_candidate_admissible(monkeypatch):
     """At every expansion, of the main loop and of the escapes, the block's
     admitted moves are those `oracle_candidate_admissible` (and the
-    escape's mask) admits from the same vertex, with the same keys and
+    wall-hugging shell) admits from the same vertex, with the same keys and
     coordinates.  Per move, the block's flag equals the point, segment and,
-    for a formation, band and motion oracles, and its potential equals
-    `distance` to the target exactly.  This holds as well for the vertices
+    for a formation, band and motion oracles, its end-point row the point
+    oracle, its potential `distance` to the target and, in a wall-hugging
+    tree, its clearance row the clearance oracle, exactly.  This holds as
+    well for the vertices
     served from the rows of a descent admitted ahead, which a maze and a
     formation run both use."""
     admitted, prepare = graph.MoveBlocks.admitted, graph.MoveBlocks.prepare
     recall = graph.MoveBlocks.recall
     seen = {"expansions": 0, "segment-only": 0, "on-face": 0, "formation-only": 0,
-            "8-D": 0}
+            "8-D": 0, "clearances": 0}
     recalled = {}
     tree = {}
 
@@ -316,12 +318,12 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         tree.update(env=env, cfg=cfg)  # fixed while one tree grows
         return prepare(blocks, g, first, last, env, cfg, *ahead)
 
-    def checked(blocks, g, vid):
+    def checked(blocks, g, vid, eps=None):
         env, cfg = tree["env"], tree["cfg"]
         dmin, dmax = env.truth.dmin, env.truth.dmax
-        got = admitted(blocks, g, vid)
+        got = admitted(blocks, g, vid, eps)
         moves = step_moves(g, vid, blocks.steps)
-        kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
+        kept = [eps is None or oracle_distance_to_revealed(q, env) <= eps for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
                 if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
@@ -333,8 +335,13 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
             in_band = dmin is None or dmax is None or (
                 oracle_multi_robot_feasible(q, env, dmin, dmax)
                 and oracle_formation_motion_feasible(v, q, env, dmin, dmax, cfg.link_step))
-            assert blocks.passed[vid, move] == (kept[move] and on_segment and in_band)
+            assert blocks.passed[vid, move] == (on_segment and in_band)
             assert blocks.pot[vid, move] == lp.distance(q, g.target)
+            if blocks.open is not None:
+                assert blocks.open[vid, move] == on_point
+            if blocks.clear is not None:
+                assert blocks.clear[vid, move] == oracle_distance_to_revealed(q, env)
+                seen["clearances"] += 1
             seen["segment-only"] += on_point and not on_segment
             seen["formation-only"] += on_segment and not in_band
             pos = env.robot_positions(q)[:, None, :]
@@ -351,7 +358,7 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
     runs = _block_runs()
     truth, start, target = make_corridor(4, dmax=0.25)
     runs.append(("corridor-4", truth, start, target,
-                 lp.PlannerConfig(step=0.04, sensing_radius=0.12)))
+                 lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=1600)))
     for name, truth, start, target, cfg in runs:
         tree["name"] = name
         res = lp.plan(truth, start, target, cfg)
@@ -360,7 +367,7 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
     assert recalled["maze"] > 0 and recalled["corridor-4"] > 0, recalled
     assert seen["expansions"] > 3000 and seen["8-D"] > 50, seen
     assert seen["segment-only"] > 0 and seen["on-face"] > 0, seen
-    assert seen["formation-only"] > 0, seen
+    assert seen["formation-only"] > 0 and seen["clearances"] > 1000, seen
 
 
 @pytest.mark.parametrize("start, target", [([0.1, 0.5], [0.9, 0.5]),
@@ -376,7 +383,7 @@ def test_descent_admitted_ahead_takes_one_pass(monkeypatch, start, target):
         return prepare(blocks, g, first, last, env, cfg, *ahead)
 
     monkeypatch.setattr(graph.MoveBlocks, "prepare", counting_prepare)
-    g = generate_graph(start, target, _empty_env(), GenConfig(step=0.02))
+    g = generate_graph(start, target, _empty_env(), GenConfig(step=0.02, max_vertices=300))
     assert g.target_id is not None and not g.trapped
     assert sum(g.is_expanded(v) for v in range(g.count)) >= 30
     assert len(calls) <= 2, calls
@@ -408,7 +415,8 @@ def test_descent_ahead_shrinks_to_what_the_tree_follows(monkeypatch):
     vertices = 0
     for seed in range(3):
         truth, start, target = make_sealed(seed)
-        res = lp.plan(truth, start, target, lp.PlannerConfig(step=MAZE_STEP, sensing_radius=0.1))
+        res = lp.plan(truth, start, target, lp.PlannerConfig(
+            step=MAZE_STEP, sensing_radius=0.1, max_vertices=2100))
         assert res.status == "no-feasible-path"
         vertices += res.metrics["max_vertices"]
     # Descents as long as a pass allows would admit 0.23 points per vertex.

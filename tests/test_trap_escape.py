@@ -14,7 +14,8 @@ from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
 from geometry_oracles import (oracle_candidate_admissible, oracle_candidate_open,
-                              oracle_point_feasible, oracle_segment_feasible)
+                              oracle_distance_to_revealed, oracle_point_feasible,
+                              oracle_segment_feasible)
 from test_graph import lattice_key, step_moves
 
 
@@ -34,7 +35,7 @@ def test_near_obstacle_episode_respects_shell():
     """Every vertex added during a wall-hug episode stays within its epsilon."""
     truth = _pocket_world()
     env = lp.KnownEnvironment.initial(truth, 0.1)
-    cfg = GenConfig(step=0.03)
+    cfg = GenConfig(step=0.03, max_vertices=320)
     g = generate_graph([0.4, 0.5], [0.9, 0.5], env, cfg,
                        escape=TrapEscapePolicy(mode="near-obstacle"))
     assert g is not None and g.target_id is not None
@@ -47,7 +48,7 @@ def test_near_obstacle_episode_respects_shell():
 def test_near_obstacle_added_vertices_near_revealed():
     truth = _pocket_world()
     env = lp.KnownEnvironment.initial(truth, 0.1)
-    cfg = GenConfig(step=0.03)
+    cfg = GenConfig(step=0.03, max_vertices=320)
     esc = generate_graph([0.4, 0.5], [0.9, 0.5], env, cfg,
                          escape=TrapEscapePolicy(mode="near-obstacle"))
     assert esc.target_id is not None
@@ -63,7 +64,7 @@ def test_near_obstacle_added_vertices_near_revealed():
 
 def test_fixed_shape_added_vertices_preserve_offsets():
     truth, start, target = make_deadend()
-    cfg = lp.PlannerConfig(step=0.04, sensing_radius=0.12,
+    cfg = lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=400,
                            escape=lp.TrapEscapePolicy(mode="fixed-shape"))
     res = lp.plan(truth, start, target, cfg)
     assert res.status == "success"
@@ -98,9 +99,9 @@ def test_policy_rejects_unknown_mode():
 def test_escape_reduces_vertices_in_deadend():
     truth, start, target = make_deadend()
     base = lp.plan(truth, start, target,
-                   lp.PlannerConfig(step=0.04, sensing_radius=0.12))
+                   lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=3200))
     esc = lp.plan(truth, start, target,
-                  lp.PlannerConfig(step=0.04, sensing_radius=0.12,
+                  lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=400,
                                    escape=lp.TrapEscapePolicy(mode="fixed-shape")))
     assert base.status == esc.status == "success"
     assert esc.metrics["max_vertices"] < base.metrics["max_vertices"]
@@ -109,7 +110,7 @@ def test_escape_reduces_vertices_in_deadend():
 def test_near_obstacle_escape_with_two_robots():
     truth, start, target = make_deadend()
     res = lp.plan(truth, start, target,
-                  lp.PlannerConfig(step=0.08, sensing_radius=0.12,
+                  lp.PlannerConfig(step=0.08, sensing_radius=0.12, max_vertices=550,
                                    escape=TrapEscapePolicy(mode="near-obstacle")))
     assert res.status == "success"
     # Replay the sensing to recover what each tree was grown against.
@@ -135,7 +136,7 @@ def test_near_obstacle_escape_with_two_robots_at_fine_pitch():
     about 1,500 escape episodes, keep inside the formation band."""
     truth, start, target = make_deadend()
     res = lp.plan(truth, start, target,
-                  lp.PlannerConfig(step=0.04, sensing_radius=0.12,
+                  lp.PlannerConfig(step=0.04, sensing_radius=0.12, max_vertices=7000,
                                    escape=TrapEscapePolicy(mode="near-obstacle")))
     assert res.status == "success"
     assert sum(len(s.graph.escape_log) for s in res.segments) > 1000
@@ -153,6 +154,13 @@ def _near_top_loop(g, pool):
     return [x for x in pool if not lp.distance(g.coords[x], g.coords[y]) > radius]
 
 
+def _near_top(g, pool):
+    """The near-top set as `_EscapeSet` starts it: `_near` of the pool's
+    `_top`."""
+    pool = np.asarray(pool, dtype=int)
+    return trap_escape._near(g, trap_escape._top(g, pool), pool).tolist()
+
+
 def _in_escape_set_loop(g, pool, env, steps):
     if not pool:
         return False
@@ -165,11 +173,13 @@ def _in_escape_set_loop(g, pool, env, steps):
     return False
 
 
-def _restricted_search_scan(g, pool, done, blocks, env, cfg):
-    """The search the heap replaced: scan the whole pool for its lowest
-    vertex not yet done, admit its moves one by one with
-    `oracle_candidate_admissible`, and test every near-top move after every
-    step."""
+def _restricted_search_scan(g, pool, todo, blocks, env, cfg, eps=None):
+    """The search the heap and the incremental escape set replaced: scan
+    the whole pool for its lowest vertex not yet done, admit its moves one
+    by one with `oracle_candidate_admissible` and, given `eps`, the
+    clearance oracle, and test every near-top move after every step."""
+    pool = list(pool)
+    done = set(pool) - set(todo.tolist())
     added = []
     escaped = _in_escape_set_loop(g, pool, env, blocks.steps)
     while not escaped:
@@ -179,7 +189,7 @@ def _restricted_search_scan(g, pool, done, blocks, env, cfg):
         vid = min(frontier, key=lambda v: (g.potential_of(v), v))
         admitted = [(q, key, lp.distance(q, g.target))
                     for q, key in step_moves(g, vid, blocks.steps)
-                    if (blocks.keep is None or blocks.keep(q[None])[0])
+                    if (eps is None or oracle_distance_to_revealed(q, env) <= eps)
                     and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         new_ids = graph.insert_admitted(g, vid, admitted, env, cfg)
         done.add(vid)
@@ -195,7 +205,7 @@ def _in_escape_set_walk(g, pool, env, steps, closed):
     """The vertex-by-vertex walk: each near-top vertex not yet closed is
     tested move by move with `oracle_candidate_open`, and closed when none
     opens."""
-    for v in trap_escape._near_top(g, pool):
+    for v in _near_top_loop(g, pool):
         if v not in closed:
             if any(lp.distance(q, g.target) < g.potential_of(v)
                    and oracle_candidate_open(g, q, key, env)
@@ -209,17 +219,18 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
     """In both escape modes, with 2, 3 and 4 robots, every batched admission
     admits the moves `oracle_candidate_admissible` (and the wall-hugging mask)
     admits, with the same keys, coordinates and potentials (`==`), and every
-    batched escape-set test answers and closes as the per-move walk does."""
-    admitted, in_escape_set = graph.MoveBlocks.admitted, trap_escape._in_escape_set
+    incremental escape-set test answers and closes as the per-move walk over
+    the whole pool does."""
+    admitted, reached = graph.MoveBlocks.admitted, trap_escape._EscapeSet.reached
     seen = {"group-moves": 0, "masked": 0, "formation-only": 0, "escape-sets": 0,
             "closed-then-open": 0}
     tree = {}
 
-    def checked_admitted(blocks, g, vid):
+    def checked_admitted(blocks, g, vid, eps=None):
         env, cfg = tree["env"], tree["cfg"]
-        got = admitted(blocks, g, vid)
+        got = admitted(blocks, g, vid, eps)
         moves = step_moves(g, vid, blocks.steps)
-        kept = [blocks.keep is None or bool(blocks.keep(q[None])[0]) for q, _ in moves]
+        kept = [eps is None or oracle_distance_to_revealed(q, env) <= eps for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
                 if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
@@ -231,17 +242,18 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
             and oracle_segment_feasible(v, q, env)
             and not oracle_candidate_admissible(g, vid, q, key, env, cfg) for q, key in moves)
         seen["group-moves"] += bool((np.count_nonzero(blocks.steps, axis=1) > 1).any())
-        seen["masked"] += blocks.keep is not None
+        seen["masked"] += eps is not None
         return got
 
-    def checked_in_escape_set(g, pool, env, steps, closed):
-        walked = set(closed)
-        want = _in_escape_set_walk(g, pool, env, steps, walked)
-        before = len(closed)
-        got = in_escape_set(g, pool, env, steps, closed)
-        assert got == want and closed == walked
+    def checked_reached(escape_set):
+        walked = set(escape_set.closed)
+        want = _in_escape_set_walk(escape_set.g, escape_set.pool.tolist(), escape_set.env,
+                                   escape_set.blocks.steps, walked)
+        before = len(escape_set.closed)
+        got = reached(escape_set)
+        assert got == want and escape_set.closed == walked
         seen["escape-sets"] += 1
-        seen["closed-then-open"] += got and len(closed) > before
+        seen["closed-then-open"] += got and len(escape_set.closed) > before
         return got
 
     prepare = graph.MoveBlocks.prepare
@@ -252,13 +264,13 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
 
     monkeypatch.setattr(graph.MoveBlocks, "prepare", capturing_prepare)
     monkeypatch.setattr(graph.MoveBlocks, "admitted", checked_admitted)
-    monkeypatch.setattr(trap_escape, "_in_escape_set", checked_in_escape_set)
+    monkeypatch.setattr(trap_escape._EscapeSet, "reached", checked_reached)
     for k, step, mode in ((2, 0.04, "fixed-shape"), (3, 0.06, "fixed-shape"),
                           (4, 0.04, "fixed-shape"), (2, 0.08, "near-obstacle"),
                           (3, 0.08, "near-obstacle")):
         truth, start, target = make_deadend(k, dmax=0.25 if k == 4 else 0.13)
         res = lp.plan(truth, start, target, lp.PlannerConfig(
-            step=step, sensing_radius=0.12, escape=TrapEscapePolicy(mode=mode)))
+            step=step, sensing_radius=0.12, max_vertices=1500, escape=TrapEscapePolicy(mode=mode)))
         assert res.status == "success"
         assert any(s.graph.escape_log for s in res.segments), (k, mode)
     assert seen["group-moves"] > 500 and seen["masked"] > 100, seen
@@ -286,11 +298,11 @@ def grown_trees():
         full = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
         for mode in ("none", "fixed-shape"):
             res = lp.plan(truth, start, target,
-                          lp.PlannerConfig(step=step, sensing_radius=0.12,
+                          lp.PlannerConfig(step=step, sensing_radius=0.12, max_vertices=4800,
                                            escape=TrapEscapePolicy(mode=mode)))
             out += [(s.graph, full, k) for s in res.segments]
     env = lp.KnownEnvironment.initial(_pocket_world(), 0.1)
-    g = generate_graph([0.4, 0.5], [0.9, 0.5], env, GenConfig(step=0.03),
+    g = generate_graph([0.4, 0.5], [0.9, 0.5], env, GenConfig(step=0.03, max_vertices=320),
                        escape=TrapEscapePolicy(mode="near-obstacle"))
     return out + [(g, env, 1)]
 
@@ -319,10 +331,11 @@ def test_restricted_search_equals_pool_scan(monkeypatch):
         truth, start, target = make_deadend(k)
         runs.append(lambda truth=truth, start=start, target=target, step=step, mode=mode:
                     [s.graph for s in lp.plan(truth, start, target, lp.PlannerConfig(
-                        step=step, sensing_radius=0.12,
+                        step=step, sensing_radius=0.12, max_vertices=1300,
                         escape=TrapEscapePolicy(mode=mode))).segments])
     env = lp.KnownEnvironment.initial(_pocket_world(), 0.1)
-    runs.append(lambda: [generate_graph([0.4, 0.5], [0.9, 0.5], env, GenConfig(step=0.03),
+    runs.append(lambda: [generate_graph([0.4, 0.5], [0.9, 0.5], env,
+                                        GenConfig(step=0.03, max_vertices=320),
                                         escape=TrapEscapePolicy(mode="near-obstacle"))])
 
     def outputs():
@@ -336,22 +349,24 @@ def test_restricted_search_equals_pool_scan(monkeypatch):
 
 
 def test_restricted_search_prepares_added_vertices_in_blocks(monkeypatch):
-    """A restricted search prepares a vertex from before the search alone
-    and the vertices it added in blocks from the search's first id on, some
-    block covering more than one vertex, in both escape modes."""
+    """A fixed-shape search prepares a vertex from before the search alone
+    and the vertices it added in blocks from the search's first id on.  A
+    wall-hugging search prepares only blocks that start where the tree's
+    blocks end, so no vertex the main loop prepared is admitted again.  In
+    both modes some block covers more than one vertex."""
     search, prepare = trap_escape._restricted_search, graph.MoveBlocks.prepare
     state, spans = {}, []
 
-    def tracking_search(g, pool, done, blocks, env, cfg):
+    def tracking_search(g, pool, todo, blocks, env, cfg, eps=None):
         state.update(start=g.count, blocks=blocks)
         try:
-            return search(g, pool, done, blocks, env, cfg)
+            return search(g, pool, todo, blocks, env, cfg, eps)
         finally:
             del state["blocks"]
 
     def recording_prepare(blocks, g, first, last, env, cfg, *ahead):
         if state.get("blocks") is blocks:
-            spans.append((first, last, state["start"]))
+            spans.append((first, last, state["start"], blocks.prepared, g.count))
         return prepare(blocks, g, first, last, env, cfg, *ahead)
 
     monkeypatch.setattr(trap_escape, "_restricted_search", tracking_search)
@@ -360,38 +375,120 @@ def test_restricted_search_prepares_added_vertices_in_blocks(monkeypatch):
         spans.clear()
         truth, start, target = make_deadend(2)
         assert lp.plan(truth, start, target, lp.PlannerConfig(
-            step=step, sensing_radius=0.12, escape=TrapEscapePolicy(mode=mode))).status == \
-            "success"
-        assert all(last == first + 1 if first < begin else first < last
-                   for first, last, begin in spans), mode
-        assert max(last - first for first, last, _ in spans) > 1, mode
+            step=step, sensing_radius=0.12, max_vertices=550,
+            escape=TrapEscapePolicy(mode=mode))).status == "success"
+        if mode == "fixed-shape":
+            assert all(last == first + 1 if first < begin else first < last
+                       for first, last, begin, _, _ in spans)
+        else:
+            assert all(first == mark and last == count and first < last
+                       for first, last, _, mark, count in spans)
+        assert max(last - first for first, last, *_ in spans) > 1, mode
+
+
+def _moves_of(k, g):
+    """The axis moves and, for a formation, the moves of the whole group."""
+    move_sets = [_axis_steps(k)]
+    if k > 1:
+        comps = trap_escape._components(k, list(combinations(range(k), 2)))
+        move_sets.append(group_steps(comps, 2, g.n))
+    return move_sets
 
 
 def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
-    """The escape-set test equals the loop over every near-top move, also
-    when it skips the vertices an earlier call found closed: on a fixed tree
-    and environment, a vertex is closed whatever the pool."""
+    """The incremental escape set, started on a prefix of a pool and grown
+    by the rest in chunks, answers after every chunk as the loop over every
+    near-top move of the pool so far, with and without end-point rows for
+    some vertices.  A vertex it closed stays closed, also when the top moved
+    and it skipped that vertex: on a fixed tree and environment a vertex is
+    closed whatever the pool."""
     rng = np.random.default_rng(7)
     compared = escaping = skipped = 0
     for g, env, k in grown_trees:
-        move_sets = [_axis_steps(k)]
-        if k > 1:
-            comps = trap_escape._components(k, list(combinations(range(k), 2)))
-            move_sets.append(group_steps(comps, 2, g.n))
-        closed_sets = [set() for _ in move_sets]
+        cfg = GenConfig(step=g.step)
         for pool in _ascending_pools(g, rng):
-            assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
-            for moves, closed in zip(move_sets, closed_sets):
-                skipped += len(closed.intersection(_near_top_loop(g, pool)))
-                got = trap_escape._in_escape_set(g, pool, env, moves, closed)
-                assert got == _in_escape_set_loop(g, pool, env, moves)
-                assert got == trap_escape._in_escape_set(g, pool, env, moves, set())
-                compared += 1
-                escaping += got
-            for moves, closed in zip(move_sets, closed_sets):
-                for v in closed:
-                    assert not _in_escape_set_loop(g, [v], env, moves)
-    assert compared > 100 and 0 < escaping < compared and skipped > 0
+            assert _near_top(g, pool) == _near_top_loop(g, pool)
+            for moves in _moves_of(k, g):
+                for with_rows in (False, True):
+                    blocks = graph.MoveBlocks(moves, escape=True)
+                    if with_rows:
+                        blocks.prepare(g, 0, g.count // 2, env, cfg)
+                    at = int(rng.integers(1, len(pool) + 1))
+                    escape_set = trap_escape._EscapeSet(g, np.array(pool[:at]), blocks, env)
+                    while True:
+                        skipped += len(escape_set.closed.intersection(
+                            _near_top_loop(g, pool[:at])))
+                        got = escape_set.reached()
+                        assert got == _in_escape_set_loop(g, pool[:at], env, moves)
+                        compared += 1
+                        escaping += got
+                        if at == len(pool):
+                            break
+                        more = int(rng.integers(1, max(len(pool) // 3, 1) + 1))
+                        escape_set.add(pool[at:at + more])
+                        at = min(at + more, len(pool))
+                    assert escape_set.pool.tolist() == pool
+                    for v in escape_set.closed:
+                        assert not _in_escape_set_loop(g, [v], env, moves)
+    assert compared > 300 and 0 < escaping < compared and skipped > 0
+
+
+def test_wall_hugging_computes_each_vertex_clearance_once(monkeypatch):
+    """Over each tree of the two-robot dead end with wall hugging (a
+    `GOLDEN_ESCAPES` input), the vertex clearances computed are at most the
+    tree's vertex count, however many episodes the tree runs."""
+    computed, state = {}, {}
+    hug_clearances, counted = trap_escape.WallHug.clearances, trap_escape.clearances
+
+    def tracking(hug, g, env):
+        state["g"] = g
+        return hug_clearances(hug, g, env)
+
+    def counting(configs, known, *rows):
+        computed[state["g"]] = computed.get(state["g"], 0) + len(configs)
+        return counted(configs, known, *rows)
+
+    monkeypatch.setattr(trap_escape.WallHug, "clearances", tracking)
+    monkeypatch.setattr(trap_escape, "clearances", counting)
+    truth, start, target = make_deadend(2)
+    res = lp.plan(truth, start, target, lp.PlannerConfig(
+        step=0.06, sensing_radius=0.12, max_vertices=1000,
+        escape=TrapEscapePolicy(mode="near-obstacle")))
+    assert res.status == "success"
+    trees = [s.graph for s in res.segments if s.graph.escape_log]
+    assert sum(len(g.escape_log) for g in trees) > 20
+    assert set(computed) == set(trees)
+    assert all(computed[g] <= g.count for g in trees), [(computed[g], g.count) for g in trees]
+
+
+def test_wall_hugging_shares_the_trees_admission(monkeypatch):
+    """A wall-hugging tree has one `MoveBlocks`, which the main loop and
+    every episode share.  Each block begins where the last one ended, so a
+    vertex a block admitted is not admitted again, and the episodes expand
+    vertices the main loop prepared without a pass of their own."""
+    prepare, search = graph.MoveBlocks.prepare, trap_escape._restricted_search
+    blocks_of, counts = {}, {"blocks": 0, "reused": 0}
+
+    def checked_prepare(blocks, g, first, last, env, cfg, *ahead):
+        blocks_of.setdefault(g, set()).add(id(blocks))
+        assert (first, last) == (blocks.prepared, g.count)
+        counts["blocks"] += 1
+        return prepare(blocks, g, first, last, env, cfg, *ahead)
+
+    def reuse_counting_search(g, pool, todo, blocks, env, cfg, eps=None):
+        counts["reused"] += int((todo < blocks.prepared).sum())
+        return search(g, pool, todo, blocks, env, cfg, eps)
+
+    monkeypatch.setattr(graph.MoveBlocks, "prepare", checked_prepare)
+    monkeypatch.setattr(trap_escape, "_restricted_search", reuse_counting_search)
+    for k, step in ((2, 0.06), (3, 0.08)):
+        truth, start, target = make_deadend(k)
+        res = lp.plan(truth, start, target, lp.PlannerConfig(
+            step=step, sensing_radius=0.12, max_vertices=1500,
+            escape=TrapEscapePolicy(mode="near-obstacle")))
+        assert res.status == "success"
+    assert blocks_of and all(len(b) == 1 for b in blocks_of.values())
+    assert counts["reused"] > 100, counts
 
 
 def test_parent_keys_equal_rounded_keys_on_escape_moves(grown_trees):
@@ -426,9 +523,9 @@ def test_near_top_ties_go_to_the_lowest_id():
     g = _hand_tree([[0.1, 0.5], [0.6, 0.5], [0.15, 0.5], [0.65, 0.5]],
                    [1.0, 1.0, 0.5, 0.5])
     for pool in ([0, 1, 2, 3], [1, 2, 3], [0, 3]):
-        assert trap_escape._near_top(g, pool) == _near_top_loop(g, pool)
-    assert trap_escape._near_top(g, [0, 1, 2, 3]) == [0, 2]
-    assert trap_escape._near_top(g, [1, 2, 3]) == [1, 3]
+        assert _near_top(g, pool) == _near_top_loop(g, pool)
+    assert _near_top(g, [0, 1, 2, 3]) == [0, 2]
+    assert _near_top(g, [1, 2, 3]) == [1, 3]
 
 
 def test_near_top_radius_is_inclusive():
@@ -439,8 +536,8 @@ def test_near_top_radius_is_inclusive():
                     [np.nextafter(radius, 1.0), 0.5], [0.0, 0.5 - step]],
                    [2.0, 1.0, 1.0, 1.0, 1.0], step)
     assert lp.distance(g.coords[2], g.coords[0]) == radius
-    assert trap_escape._near_top(g, list(range(5))) == _near_top_loop(g, list(range(5)))
-    assert trap_escape._near_top(g, list(range(5))) == [0, 1, 2, 4]
+    assert _near_top(g, list(range(5))) == _near_top_loop(g, list(range(5)))
+    assert _near_top(g, list(range(5))) == [0, 1, 2, 4]
 
 
 def test_shape_matches_equals_per_vertex_loop(grown_trees):
