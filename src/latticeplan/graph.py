@@ -2,9 +2,12 @@
 toward the target, expanding the lowest-potential vertex first and admitting
 only moves that pass all revealed constraints.
 
-Every vertex carries an integer lattice key.  The root's is all zeros; a
-move's key is its parent's key plus the move's key step, +-1 on each moved
-axis, so no key is ever rounded from floats.  The unexpanded vertices sit in
+Every vertex carries one integer lattice key, its lattice coordinates k as
+`sum(k[c] * R**c)` with R = 2 * max_vertices + 1.  The root's is 0; a move's
+key is its parent's key plus the move's key step, that sum over its +-1 on
+each moved axis, so no key is rounded from floats.  An edge moves a
+coordinate by at most one, so |k[c]| stays below the vertex budget and
+distinct lattice points have distinct keys.  The unexpanded vertices sit in
 a heap of (potential, id), which gives the lowest potential first and the
 lowest id on ties.
 
@@ -50,7 +53,7 @@ from .geometry import (as_config, distance, formation_segment_feasible, rows_for
 _TARGET_SNAP = 1e-12
 _ADMIT_ROWS = 1024  # moves per admission pass
 
-Key = Tuple[int, ...]
+Key = int
 Admitted = Tuple[np.ndarray, Key, float]  # a move's coordinates, lattice key and potential
 
 
@@ -80,11 +83,13 @@ class SearchGraph:
 
     Vertices are stored in insertion order; the root has ancestor None.  A
     vertex's potential is its distance to the target.  The target vertex,
-    once linked, may sit off-lattice (key None).
+    once linked, may sit off-lattice (key None).  `radix` is the keys' base.
     """
 
-    def __init__(self, root: np.ndarray, target: np.ndarray, step: float):
+    def __init__(self, root: np.ndarray, target: np.ndarray, step: float,
+                 max_vertices: int = GenConfig.max_vertices):
         self.step = step
+        self.radix = 2 * max_vertices + 1
         self.anchor = root.copy()
         self.target = target.copy()
         self.n = root.shape[0]
@@ -173,9 +178,9 @@ class SearchGraph:
 
 def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray, key: Key,
                          env: KnownEnvironment, cfg: GenConfig) -> bool:
-    """`admit_rows` of the one move from vertex from_id to q, and q's key
-    unvisited.  Nothing in the program calls it; it stays while
-    `perfbench/tracer.py` looks it up by name."""
+    """`admit_rows` of the one move from vertex from_id to q, and q's
+    integer lattice key unvisited.  Nothing in the program calls it; it
+    stays while `perfbench/tracer.py` looks it up by name."""
     return key not in g.key_map and bool(
         admit_rows(g.coords[from_id][None], as_config(q)[None], env, cfg)[0])
 
@@ -223,6 +228,11 @@ def group_steps(groups: Sequence[Sequence[int]], dim: int, n: int) -> np.ndarray
     return np.stack([steps, -steps], axis=2).reshape(-1, n)
 
 
+def key_steps(steps: np.ndarray, radix: int) -> List[int]:
+    """The lattice key step `sum(s[c] * radix**c)` of each row s of steps."""
+    return [sum(d * radix**c for c, d in enumerate(s) if d) for s in steps.tolist()]
+
+
 def move_rows(v: np.ndarray, steps: np.ndarray, step: float) -> np.ndarray:
     """The moves `steps` (M, n) from each configuration row of v (N, n),
     shaped (N, M, n).  A moved coordinate is v[c] +- step; the others keep
@@ -252,20 +262,22 @@ def descent(g: SearchGraph, vid: int, count: int) -> np.ndarray:
 
 
 class MoveBlocks:
-    """Admission results of the moves `steps` (M, n) by vertex id:
-    `passed[v, m]` holds whether move m of vertex v passes `admit_rows` and
-    `pot[v, m]` its potential; for an escape (`escape` or `clear`),
-    `open[v, m]` whether its end point passes `rows_point_feasible` (for one
-    robot, `open_rows`) and, with `clear`, `clear[v, m]` its end point's
-    `clearances`.  The vertices in [first, prepared) have rows; one below
-    `first` is prepared alone, and the next block begins at `prepared`.
-    `closed` holds the vertices an escape found with no open move of lower
-    potential among `steps`, which no later vertex can open."""
+    """Admission results of the moves `steps` (M, n), whose lattice key
+    steps in `radix` are `key_steps`, by vertex id: `passed[v, m]` holds
+    whether move m of vertex v passes `admit_rows` and `pot[v, m]` its
+    potential; for an escape (`escape` or `clear`), `open[v, m]` whether its
+    end point passes `rows_point_feasible` (for one robot, `open_rows`) and,
+    with `clear`, `clear[v, m]` its end point's `clearances`.  The vertices
+    in [first, prepared) have rows; one below `first` is prepared alone, and
+    the next block begins at `prepared`.  `closed` holds the vertices an
+    escape found with no open move of lower potential among `steps`, which
+    no later vertex can open."""
 
-    def __init__(self, steps: np.ndarray, first: int = 0, escape: bool = False,
+    def __init__(self, steps: np.ndarray, radix: int, first: int = 0, escape: bool = False,
                  clear: bool = False):
         m = len(steps)
         self.steps = steps
+        self.key_steps = key_steps(steps, radix)
         self.first = self.prepared = first
         self.passed = np.empty((64, m), dtype=bool)
         self.pot = np.empty((64, m), dtype=float)
@@ -273,7 +285,7 @@ class MoveBlocks:
         self.clear = np.empty((64, m), dtype=float) if clear else None
         self._tables = [a for a in (self.passed, self.pot, self.open, self.clear) if a is not None]
         self.closed: Set[int] = set()
-        # Per move, its moved coordinates and their signs.
+        # Per move, its moved coordinates and their signs, to step the floats.
         self._moves = [[(c, d) for c, d in enumerate(s) if d] for s in steps.tolist()]
         # The last descent admitted ahead: its points' row index by coordinate
         # bytes, compact copies of their rows, and the pops it served.
@@ -351,19 +363,13 @@ class MoveBlocks:
         v, key, step = g._xy[vid], g.keys[vid], g.step
         passed = self.passed[vid] if eps is None else self.passed[vid] & (self.clear[vid] <= eps)
         out = []
-        for moved, ok, p in zip(self._moves, passed.tolist(), self.pot[vid].tolist()):
-            if not ok:
-                continue
-            k = list(key)
-            for c, sign in moved:
-                k[c] += sign
-            qkey = tuple(k)
-            if qkey in g.key_map:
-                continue
-            q = v.copy()
-            for c, sign in moved:
-                q[c] += sign * step
-            out.append((q, qkey, p))
+        for moved, ks, ok, p in zip(self._moves, self.key_steps, passed.tolist(),
+                                    self.pot[vid].tolist()):
+            if ok and (qkey := key + ks) not in g.key_map:
+                q = v.copy()
+                for c, sign in moved:
+                    q[c] += sign * step
+                out.append((q, qkey, p))
         return out
 
 
@@ -407,8 +413,8 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
     """
     start = as_config(start)
     target = as_config(target)
-    g = SearchGraph(start, target, cfg.step)
-    root = g.insert(start, distance(start, target), None, tuple([0] * g.n))
+    g = SearchGraph(start, target, cfg.step, cfg.max_vertices)
+    root = g.insert(start, distance(start, target), None, 0)
     if g.potential_of(root) < _TARGET_SNAP:
         g.target_id = root
         return g
@@ -420,7 +426,7 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
 
     hugs = escape is not None and escape.mode == "near-obstacle"
     blocks = MoveBlocks(group_steps([[r] for r in range(g.n // env.dim)], env.dim, g.n),
-                        clear=hugs)
+                        g.radix, clear=hugs)
     hug = trap_escape.WallHug(blocks) if hugs else None
     last = None  # the vertex expanded just before; the root's ancestor is None
     while g.target_id is None:

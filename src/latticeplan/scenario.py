@@ -3,7 +3,7 @@
 One directive per line: `key value...`; blank lines and `#` comments are
 ignored.  Keys: dim, workspace, robots, start, target, obstacle, sensing_radius,
 step, beta, escape, stop_fraction, dmin, dmax, connect_radius, grid_step,
-max_vertices, region_shift.  Parsing errors carry the 1-based line number.
+max_vertices.  Parsing errors carry the 1-based line number.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Scenario:
     connect_radius: Optional[float] = None
     grid_step: Optional[float] = None
     max_vertices: int = 500_000
-    region_shift: Optional[np.ndarray] = None
 
     # -- derived objects --------------------------------------------------
 
@@ -83,7 +82,7 @@ def parse_scenario(text: str) -> Scenario:
         parts = stripped.split()
         key, args = parts[0], parts[1:]
         lines[key] = ln
-        if key in ("workspace", "start", "target", "obstacle", "region_shift"):
+        if key in ("workspace", "start", "target", "obstacle"):
             sized_at = sized_at or ln
         if key == "dim":
             if len(args) != 1 or args[0] not in ("2", "3"):
@@ -124,8 +123,6 @@ def parse_scenario(text: str) -> Scenario:
             if np.any(hi < lo):
                 raise ScenarioError("obstacle box upper corner below lower corner", ln)
             sc.obstacles.append((lo, hi, known))
-        elif key == "region_shift":
-            sc.region_shift = _floats(args, sc.dim * sc.robots, key, ln)
         elif key in ("sensing_radius", "step", "beta", "stop_fraction",
                      "dmin", "dmax", "connect_radius", "grid_step"):
             val = float(_floats(args, 1, key, ln)[0])

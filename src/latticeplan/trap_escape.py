@@ -17,8 +17,9 @@ A fixed-shape search admits rigid group translations through a
 `MoveBlocks` of its own, preparing a vertex from before the search alone
 and the vertices it added in blocks.  In both, `_EscapeSet` keeps the
 vertices near the pool's top up to date as the pool grows and tests only
-those not tested yet, reading the end-point rows of the vertices that have
-them.
+those not tested yet: it drops a move whose key (its vertex's key plus the
+move's key step) is in the tree before any kernel runs, and reads the
+end-point rows of the vertices that have them.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ def _first_open(g: SearchGraph, todo: np.ndarray, blocks: MoveBlocks,
                 env: KnownEnvironment) -> Optional[int]:
     """The index in the id array todo of the first vertex with an open
     lower-potential move among the moves of `blocks`, or None.  Moves are
-    filtered on potential and unvisited keys first; a vertex with a row in
-    `blocks` gives its end points' test from `blocks.open`, and a kernel
-    runs only on the moves left, if any."""
+    filtered on potential and unvisited keys (the vertex's key plus
+    `blocks.key_steps`) first; a vertex with a row in `blocks` gives its end
+    points' test from `blocks.open`, and a kernel runs only on the moves
+    left, if any."""
     q = move_rows(g._xy[todo], blocks.steps, g.step)
     d = q - g.target
     # A move's potential is bit-identical to distance(q, g.target).
@@ -95,13 +97,8 @@ def _first_open(g: SearchGraph, todo: np.ndarray, blocks: MoveBlocks,
     moves = []  # (index in todo, move) of each lower-potential move to an unvisited key
     for i, (v, row) in enumerate(zip(todo.tolist(), lower)):
         key = g.keys[v]
-        for m, (moved, ok) in enumerate(zip(blocks._moves, row)):
-            if ok:
-                k = list(key)
-                for c, sign in moved:
-                    k[c] += sign
-                if tuple(k) not in g.key_map:
-                    moves.append((i, m))
+        moves += [(i, m) for m, (ks, ok) in enumerate(zip(blocks.key_steps, row))
+                  if ok and key + ks not in g.key_map]
     if not moves:
         return None
     i, m = np.array(moves).T
@@ -264,8 +261,8 @@ def escape_fixed_shape(g: SearchGraph, trap: int, env: KnownEnvironment,
     added: List[int] = []
     relaxations = 0
     while True:
-        blocks = MoveBlocks(group_steps(_components(k, active), dim, g.n), first=g.count,
-                            escape=True)
+        blocks = MoveBlocks(group_steps(_components(k, active), dim, g.n), g.radix,
+                            first=g.count, escape=True)
         pool = np.flatnonzero(_shape_matches(g, ref, active, dim))
         new_ids, escaped, _ = _restricted_search(g, pool, pool, blocks, env, cfg)
         added.extend(new_ids)

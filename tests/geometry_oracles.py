@@ -6,7 +6,8 @@ The program answers these tests with the batched kernels of
 `fpe.contains_path`; the tests compare them with the functions below.
 Boxes come from `env.truth.primitives` by revealed index, not from the
 environment's cached corner arrays, and a point-in-box or point-to-box test
-is the body of the one-box obstacle type.
+is the body of the one-box obstacle type.  A move's lattice key is rounded
+from its coordinates and written digit by digit in the tree's radix.
 """
 
 import functools
@@ -14,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from latticeplan.geometry import distance
+from latticeplan.geometry import as_config, distance
 
 
 def segment_hits_box(a, b, lo, hi) -> bool:
@@ -143,18 +144,67 @@ def oracle_formation_segment_feasible(a, b, env, dmin, dmax, link_step) -> bool:
         and oracle_formation_motion_feasible(a, b, env, dmin, dmax, link_step))
 
 
-def oracle_candidate_open(g, q, key, env) -> bool:
-    """Point-level admission of q: unvisited key, in bounds, outside the
-    revealed boxes and, for a formation, inside the distance band."""
-    if key in g.key_map or not oracle_point_feasible(q, env):
+class LatticeConsistencyError(ValueError):
+    """A configuration is too far from any lattice point to key reliably."""
+
+
+def lattice_coords(x, g):
+    """Integer lattice coordinates of x relative to the graph anchor, rounded
+    from its floats.
+
+    Raises when any component is farther than a quarter step from the
+    nearest lattice multiple (the point was not generated by +-step moves).
+    """
+    rel = (as_config(x) - g.anchor) / g.step
+    rounded = np.rint(rel)
+    if np.any(np.abs(rel - rounded) > 0.25):
+        raise LatticeConsistencyError(
+            f"configuration {x} is off-lattice for anchor {g.anchor}, step {g.step}")
+    return tuple(int(v) for v in rounded)
+
+
+def encode_key(k, radix) -> int:
+    """The integer key of lattice coordinates k, the digits of `radix` from
+    the last coordinate down; each must lie within radix // 2 of zero."""
+    key = 0
+    for d in reversed(k):
+        if abs(d) > radix // 2:
+            raise LatticeConsistencyError(f"lattice coordinate {d} overflows radix {radix}")
+        key = key * radix + d
+    return key
+
+
+def decode_key(key, radix, n):
+    """The n lattice coordinates whose `encode_key` is key."""
+    k = []
+    for _ in range(n):
+        d = key % radix
+        d -= radix if d > radix // 2 else 0
+        k.append(d)
+        key = (key - d) // radix
+    if key:
+        raise LatticeConsistencyError(f"key has more than {n} digits")
+    return tuple(k)
+
+
+def lattice_key(x, g) -> int:
+    """The tree's key of x, rounded from its floats: the oracle for the keys
+    the tree derives from parents."""
+    return encode_key(lattice_coords(x, g), g.radix)
+
+
+def oracle_candidate_open(g, q, env) -> bool:
+    """Point-level admission of q: unvisited rounded key, in bounds, outside
+    the revealed boxes and, for a formation, inside the distance band."""
+    if lattice_key(q, g) in g.key_map or not oracle_point_feasible(q, env):
         return False
     dmin, dmax = env.truth.dmin, env.truth.dmax
     return dmin is None or dmax is None or oracle_multi_robot_feasible(q, env, dmin, dmax)
 
 
-def oracle_candidate_admissible(g, from_id, q, key, env, cfg) -> bool:
+def oracle_candidate_admissible(g, from_id, q, env, cfg) -> bool:
     """Admission of the lattice move from vertex from_id to q."""
-    return oracle_candidate_open(g, q, key, env) and oracle_formation_segment_feasible(
+    return oracle_candidate_open(g, q, env) and oracle_formation_segment_feasible(
         g.coords[from_id], q, env, env.truth.dmin, env.truth.dmax, cfg.link_step)
 
 

@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticeplan import cli, fpe
@@ -16,6 +17,7 @@ target 0.9 0.35
 obstacle box 0.41 0 0.44 0.68 known
 sensing_radius 0.12
 step 0.05
+max_vertices 250
 """
 
 SEALED_SCENARIO = """\
@@ -29,6 +31,7 @@ obstacle box 0.33 0.33 0.67 0.4 known
 obstacle box 0.33 0.6 0.67 0.67 known
 sensing_radius 0.1
 step 0.04
+max_vertices 1120
 """
 
 SLAB_3D_SCENARIO = """\
@@ -39,6 +42,7 @@ target 0.85 0.35 0.35
 obstacle box 0.45 0 0 0.48 0.55 1 known
 sensing_radius 0.12
 step 0.125
+max_vertices 120
 """
 
 TWO_ROBOT_SCENARIO = """\
@@ -51,6 +55,7 @@ sensing_radius 0.1
 step 0.04
 dmin 0.03
 dmax 0.13
+max_vertices 400
 """
 
 # The sensing radius is below the motion pitch 0.02, so the robot steps into
@@ -63,6 +68,7 @@ target 0.9 0.5
 obstacle box 0.45 0.4 0.55 0.6
 sensing_radius 0.001
 step 0.2
+max_vertices 25
 """
 
 
@@ -76,6 +82,7 @@ obstacle box 0.45 0 0.55 0.38
 obstacle box 0.45 0.42 0.55 1
 sensing_radius 0.1
 step 0.01
+max_vertices 480
 """
 
 
@@ -208,11 +215,28 @@ def test_region_containment(scn, tmp_path, capsys):
     assert (out / "region.svg").exists()
 
 
-def test_region_shift_breaks_containment(scn, tmp_path):
-    # Structural self-check: displacing the region must flip the verdict.
-    shifted = tmp_path / "shifted.scn"
-    shifted.write_text(OPEN_SCENARIO + "region_shift 0.3 0.3\n")
-    assert main(["region", "--scenario", str(shifted)]) == 2
+def test_shifted_samples_break_containment(scn, monkeypatch, capsys):
+    """Structural self-check: the trajectory's samples shifted by (0.3, 0.3)
+    before `fpe.contains_path`, as displacing the region would, flip the
+    verdict, and `region` reports "containment: no" with exit 2."""
+    contains, verdicts = fpe.contains_path, []
+
+    def shifted(region, samples):
+        verdicts.append((contains(region, samples),
+                         contains(region, [np.asarray(x) + 0.3 for x in samples])))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(fpe, "contains_path", shifted)
+    assert main(["region", "--scenario", str(scn)]) == 2
+    assert verdicts == [(True, False)]
+    assert "containment: no" in capsys.readouterr().out
+
+
+def test_region_shift_is_an_unknown_directive(tmp_path, capsys):
+    p = tmp_path / "shifted.scn"
+    p.write_text(OPEN_SCENARIO + "region_shift 0.3 0.3\n")
+    assert main(["region", "--scenario", str(p)]) == 4
+    assert "line 9: unknown directive 'region_shift'" in capsys.readouterr().err
 
 
 def test_region_3d_slab_containment(tmp_path, capsys):
@@ -275,7 +299,7 @@ def test_non_finite_number_in_file_is_scenario_error(tmp_path, capsys, value):
     p = tmp_path / "bad.scn"
     p.write_text(OPEN_SCENARIO + f"step {value}\n")
     assert main(["plan", "--scenario", str(p)]) == 4
-    assert "line 8: step: numbers must be finite" in capsys.readouterr().err
+    assert "line 9: step: numbers must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -293,7 +317,7 @@ def test_non_finite_coordinate_is_scenario_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "plan", "region"])
-@pytest.mark.parametrize("line", ["obstacle box 0.4 0.4 0.6 0.6", "region_shift 0.1 0.1"])
+@pytest.mark.parametrize("line", ["obstacle box 0.4 0.4 0.6 0.6", "workspace 0 0 1 1"])
 def test_dim_after_a_sized_line_is_scenario_error(tmp_path, capsys, command, line):
     p = tmp_path / "bad.scn"
     p.write_text(line + "\n" + SLAB_3D_SCENARIO)
@@ -350,6 +374,7 @@ obstacle box 0.33 0.28 0.55 0.34
 obstacle box 0.33 0.66 0.55 0.72
 sensing_radius 0.12
 step 0.04
+max_vertices 220
 """
 
 
@@ -359,7 +384,7 @@ def test_fixed_shape_escape_with_one_robot_is_scenario_error(tmp_path, capsys, c
     p.write_text(SINGLE_DEADEND_SCENARIO + "escape fixed-shape\n")
     assert main([command, "--scenario", str(p)]) == 4
     err = capsys.readouterr().err
-    assert err == "scenario error: line 10: escape fixed-shape needs robots 2 or more\n"
+    assert err == "scenario error: line 11: escape fixed-shape needs robots 2 or more\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "plan", "batch"])

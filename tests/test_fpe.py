@@ -453,7 +453,8 @@ def test_contains_path_equals_per_sample_contains():
     rng = np.random.default_rng(3)
     regions = in_box = edge_in = edge_out = 0
     for truth, start, target, step in _regions_with_trajectories():
-        res = lp.plan(truth, start, target, lp.PlannerConfig(step=step, sensing_radius=0.12))
+        res = lp.plan(truth, start, target, lp.PlannerConfig(step=step, sensing_radius=0.12,
+                                                          max_vertices=200))
         assert res.status == "success"
         env = lp.KnownEnvironment.initial(truth, 0.12).fully_revealed()
         lat = fpe.Lattice.build(env, start, step, target)

@@ -1,51 +1,36 @@
 """Lattice-tree generation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import latticeplan as lp
 from latticeplan import graph
 from latticeplan.errors import ResourceLimitError
-from latticeplan.geometry import as_config
 from latticeplan.graph import GenConfig, SearchGraph, generate_graph
 
 from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze, make_sealed
-from geometry_oracles import (oracle_candidate_admissible, oracle_distance_to_revealed,
-                              oracle_formation_motion_feasible, oracle_multi_robot_feasible,
-                              oracle_point_feasible, oracle_segment_feasible)
-
-
-class LatticeConsistencyError(ValueError):
-    """A configuration is too far from any lattice point to key reliably."""
-
-
-def lattice_key(x, g: SearchGraph):
-    """Integer lattice coordinates of x relative to the graph anchor, rounded
-    from its floats: the oracle for the keys the tree derives from parents.
-
-    Raises when any component is farther than a quarter step from the
-    nearest lattice multiple (the point was not generated by +-step moves).
-    """
-    rel = (as_config(x) - g.anchor) / g.step
-    rounded = np.rint(rel)
-    if np.any(np.abs(rel - rounded) > 0.25):
-        raise LatticeConsistencyError(
-            f"configuration {x} is off-lattice for anchor {g.anchor}, step {g.step}")
-    return tuple(int(v) for v in rounded)
+from geometry_oracles import (LatticeConsistencyError, decode_key, encode_key, lattice_coords,
+                              lattice_key, oracle_candidate_admissible,
+                              oracle_distance_to_revealed, oracle_formation_motion_feasible,
+                              oracle_multi_robot_feasible, oracle_point_feasible,
+                              oracle_segment_feasible)
 
 
 def step_moves(g: SearchGraph, vid: int, steps):
     """The (coordinates, key) of the moves `steps` (M, n) from a vertex, one
-    by one: each moved coordinate steps by +-step, the key by +-1."""
+    by one: each moved coordinate steps by +-step, the decoded key's
+    coordinate by +-1, and the key is encoded again."""
     out = []
     for s in np.asarray(steps).tolist():
         q = g.coords[vid].copy()
-        key = list(g.keys[vid])
+        key = list(decode_key(g.keys[vid], g.radix, g.n))
         for c, d in enumerate(s):
             if d:
                 q[c] += d * g.step
                 key[c] += d
-        out.append((q, tuple(key)))
+        out.append((q, encode_key(key, g.radix)))
     return out
 
 
@@ -109,14 +94,34 @@ def test_key_stability_over_many_steps():
         sign = rng.choice([-1.0, 1.0])
         x = x.copy()
         x[axis] += sign * 0.03
-        key = lattice_key(x, g)
-        assert all(isinstance(v, int) for v in key)
+        k = lattice_coords(x, g)
+        assert all(isinstance(v, int) for v in k)
+        assert decode_key(lattice_key(x, g), g.radix, g.n) == k
 
 
 def test_off_lattice_point_raises():
     g = lp.SearchGraph(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.1)
     with pytest.raises(LatticeConsistencyError):
         lattice_key([0.13, 0.0], g)
+
+
+def test_keys_within_the_budget_are_distinct_and_decode():
+    """Lattice coordinates with every |k[c]| <= max_vertices, in every sign
+    mix over 2-12 coordinates, get distinct keys from `key_steps` (a key is
+    the key step of its coordinates), and decoding each key gives them back."""
+    rng = np.random.default_rng(3)
+    for budget in (1, 9, 500_000):
+        radix = SearchGraph(np.zeros(2), np.ones(2), 0.1, budget).radix
+        for n in range(2, 13):
+            signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+            rows = [budget * signs, (budget - 1) * signs,
+                    rng.integers(-budget, budget + 1, size=(500, n))]
+            if n <= 7:
+                rows.append(budget * np.array(list(itertools.product((-1, 0, 1), repeat=n))))
+            k = np.unique(np.concatenate(rows), axis=0)
+            keys = graph.key_steps(k, radix)
+            assert len(set(keys)) == len(k), (budget, n)
+            assert [decode_key(key, radix, n) for key in keys] == [tuple(r) for r in k.tolist()]
 
 
 def test_empty_graph_when_sealed():
@@ -325,7 +330,7 @@ def test_block_admission_equals_candidate_admissible(monkeypatch):
         moves = step_moves(g, vid, blocks.steps)
         kept = [eps is None or oracle_distance_to_revealed(q, env) <= eps for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
-                if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
+                if ok and oracle_candidate_admissible(g, vid, q, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         v = g.coords[vid]

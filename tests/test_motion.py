@@ -21,7 +21,7 @@ from latticeplan.geometry import box_distances, distance, edge_lengths
 from latticeplan.pathfind import GraphPath
 from latticeplan.planner import MotionOutcome, PlannerConfig, _first_blocking_index, densify
 
-from conftest import MAZE_STEP, make_corridor, make_deadend, make_maze
+from conftest import MAZE_BUDGET, MAZE_STEP, make_corridor, make_deadend, make_maze
 from geometry_oracles import (oracle_first_blocking_index, oracle_point_feasible,
                               oracle_segment_feasible)
 
@@ -160,22 +160,25 @@ def _clutter(n: int = 300):
 def _runs():
     for seed in range(50):
         truth, start, target = make_maze(seed)
-        yield f"maze-{seed}", truth, start, target, PlannerConfig(step=MAZE_STEP,
-                                                                  sensing_radius=0.1)
+        yield f"maze-{seed}", truth, start, target, PlannerConfig(
+            step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET)
     for k in (1, 2, 3):
         truth, start, target = make_corridor(k)
-        yield f"corridor-{k}", truth, start, target, PlannerConfig(step=0.04,
-                                                                   sensing_radius=0.1)
+        yield f"corridor-{k}", truth, start, target, PlannerConfig(
+            step=0.04, sensing_radius=0.1, max_vertices=550)
     truth, start, target = make_deadend()
     for mode, step in (("near-obstacle", 0.06), ("fixed-shape", 0.04)):
         yield f"deadend-{mode}", truth, start, target, PlannerConfig(
-            step=step, sensing_radius=0.12, escape=lp.TrapEscapePolicy(mode=mode))
+            step=step, sensing_radius=0.12, max_vertices=900,
+            escape=lp.TrapEscapePolicy(mode=mode))
     truth, start, target = _maze_3d()
-    yield "maze-3d", truth, start, target, PlannerConfig(step=0.1, sensing_radius=0.12)
+    yield "maze-3d", truth, start, target, PlannerConfig(step=0.1, sensing_radius=0.12,
+                                                        max_vertices=120)
     yield ("no-boxes", lp.GroundTruth.create(2, [0, 0], [1, 1], []), np.array([0.1, 0.1]),
-           np.array([0.9, 0.8]), PlannerConfig(step=0.05, sensing_radius=0.1))
+           np.array([0.9, 0.8]), PlannerConfig(step=0.05, sensing_radius=0.1, max_vertices=130))
     truth, start, target = _clutter()
-    yield "clutter", truth, start, target, PlannerConfig(step=0.01, sensing_radius=0.08)
+    yield "clutter", truth, start, target, PlannerConfig(step=0.01, sensing_radius=0.08,
+                                                        max_vertices=480)
 
 
 @pytest.mark.parametrize("name,truth,start,target,cfg", list(_runs()),
@@ -190,7 +193,8 @@ def test_event_walk_blocks_on_the_way(checked_moves):
     """The mazes above do stop short of revealed walls, not only reach."""
     for seed in range(10):
         truth, start, target = make_maze(seed)
-        lp.plan(truth, start, target, PlannerConfig(step=MAZE_STEP, sensing_radius=0.1))
+        lp.plan(truth, start, target,
+                PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET))
     assert "blocked" in checked_moves and "reached-target" in checked_moves
 
 
@@ -298,7 +302,7 @@ def test_model_violation_raises_the_same_error():
     box it has not seen."""
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], [
         lp.ObstaclePrimitive.box([0.45, 0.4], [0.55, 0.6])])
-    cfg = PlannerConfig(step=0.2, sensing_radius=0.001)
+    cfg = PlannerConfig(step=0.2, sensing_radius=0.001, max_vertices=25)
     path = _line_path(0.1, 0.9)
     with pytest.raises(lp.ModelViolationError):
         assert_same_motion(path, lp.KnownEnvironment.initial(truth, 0.001), cfg)
@@ -321,7 +325,7 @@ def test_senses_only_at_reveal_events(monkeypatch):
         raise AssertionError("move_along called point_feasible")
 
     truth, start, target = make_maze(3)
-    cfg = PlannerConfig(step=MAZE_STEP, sensing_radius=0.1)
+    cfg = PlannerConfig(step=MAZE_STEP, sensing_radius=0.1, max_vertices=MAZE_BUDGET)
     known = lp.sense(lp.KnownEnvironment.initial(truth, 0.1), start)
     g = lp.generate_graph(start, target, known, cfg.gen_config())
     monkeypatch.setattr(planner, "sense", counting_sense)

@@ -13,7 +13,7 @@ from search_oracles import bfs_path, dijkstra_path
 def _graph(start, target, prims=(), step=0.04):
     truth = lp.GroundTruth.create(2, [0, 0], [1, 1], list(prims))
     env = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
-    g = generate_graph(start, target, env, GenConfig(step=step))
+    g = generate_graph(start, target, env, GenConfig(step=step, max_vertices=210))
     assert g is not None
     return g
 
@@ -42,7 +42,7 @@ def test_path_endpoints():
 
 def test_missing_target_raises():
     g = lp.SearchGraph(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.1)
-    g.insert(np.array([0.0, 0.0]), 1.0, None, (0, 0))
+    g.insert(np.array([0.0, 0.0]), 1.0, None, 0)
     for extract in (backtrace, bfs_path, dijkstra_path):
         with pytest.raises(ValueError):
             extract(g)

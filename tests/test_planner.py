@@ -38,7 +38,7 @@ def test_densify_keeps_vertices_exact():
 
 def test_plan_reaches_target_and_is_continuous():
     truth = _wall_world()
-    cfg = PlannerConfig(step=0.03, sensing_radius=0.06)
+    cfg = PlannerConfig(step=0.03, sensing_radius=0.06, max_vertices=430)
     res = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     assert res.status == "success"
     assert np.allclose(res.full_trajectory[-1], [0.9, 0.5])
@@ -51,7 +51,7 @@ def test_blocked_stop_clearance_band():
     """With R = 0.06, l = 0.03, f = 1/2 the stop clearance must land in
     [0.027, 0.06]."""
     truth = _wall_world()
-    cfg = PlannerConfig(step=0.03, sensing_radius=0.06)
+    cfg = PlannerConfig(step=0.03, sensing_radius=0.06, max_vertices=430)
     res = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     blocked = [s.motion for s in res.segments if s.motion.status == "blocked"]
     assert blocked, "the unknown wall should force at least one stop"
@@ -61,7 +61,7 @@ def test_blocked_stop_clearance_band():
 
 def test_trajectory_collision_free_against_ground_truth():
     truth = _wall_world()
-    cfg = PlannerConfig(step=0.03, sensing_radius=0.06)
+    cfg = PlannerConfig(step=0.03, sensing_radius=0.06, max_vertices=430)
     res = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     full = lp.KnownEnvironment.initial(truth, 0.06).fully_revealed()
     for a, b in zip(res.full_trajectory, res.full_trajectory[1:]):
@@ -78,15 +78,16 @@ def _sealed_world():
 
 def test_no_feasible_path_status():
     res = plan(_sealed_world(), [0.1, 0.1], [0.5, 0.5],
-               PlannerConfig(step=0.04, sensing_radius=0.1))
+               PlannerConfig(step=0.04, sensing_radius=0.1, max_vertices=1100))
     assert res.status == "no-feasible-path"
 
 
 def test_no_path_metrics_count_the_exhausted_tree():
     truth = _sealed_world()
-    res = plan(truth, [0.1, 0.1], [0.5, 0.5], PlannerConfig(step=0.04, sensing_radius=0.1))
+    res = plan(truth, [0.1, 0.1], [0.5, 0.5],
+               PlannerConfig(step=0.04, sensing_radius=0.1, max_vertices=1100))
     known = lp.sense(lp.KnownEnvironment.initial(truth, 0.1), np.array([0.1, 0.1]))
-    g = lp.generate_graph([0.1, 0.1], [0.5, 0.5], known, GenConfig(step=0.04))
+    g = lp.generate_graph([0.1, 0.1], [0.5, 0.5], known, GenConfig(step=0.04, max_vertices=1100))
     assert g.target_id is None and g.count > 1
     assert res.metrics["max_vertices"] == res.metrics["avg_vertices"] == g.count
     assert res.metrics["num_graphs"] == 1
@@ -133,7 +134,7 @@ def test_lattice_capacity_counts_grid_points():
 
 def test_text_outputs_are_stable():
     truth = _wall_world()
-    cfg = PlannerConfig(step=0.03, sensing_radius=0.06)
+    cfg = PlannerConfig(step=0.03, sensing_radius=0.06, max_vertices=430)
     r1 = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     r2 = plan(truth, [0.2, 0.5], [0.9, 0.5], cfg)
     assert trajectory_text(r1) == trajectory_text(r2)

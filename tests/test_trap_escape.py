@@ -13,10 +13,10 @@ from latticeplan.graph import GenConfig, generate_graph, group_steps, move_rows
 from latticeplan.trap_escape import TrapEscapePolicy
 
 from conftest import make_deadend
-from geometry_oracles import (oracle_candidate_admissible, oracle_candidate_open,
+from geometry_oracles import (lattice_key, oracle_candidate_admissible, oracle_candidate_open,
                               oracle_distance_to_revealed, oracle_point_feasible,
                               oracle_segment_feasible)
-from test_graph import lattice_key, step_moves
+from test_graph import step_moves
 
 
 def _axis_steps(k, dim=2):
@@ -86,7 +86,7 @@ def test_fixed_shape_added_vertices_preserve_offsets():
 def test_fixed_shape_requires_multiple_robots():
     env = lp.KnownEnvironment.initial(lp.GroundTruth.create(2, [0, 0], [1, 1], []), 0.1)
     g = lp.SearchGraph(np.array([0.2, 0.5]), np.array([0.9, 0.5]), 0.03)
-    g.insert(np.array([0.2, 0.5]), 0.7, None, (0, 0))
+    g.insert(np.array([0.2, 0.5]), 0.7, None, 0)
     with pytest.raises(ValueError):
         lp.trap_escape.escape_fixed_shape(g, 0, env, GenConfig(step=0.03))
 
@@ -167,8 +167,7 @@ def _in_escape_set_loop(g, pool, env, steps):
     for x in _near_top_loop(g, pool):
         p_x = g.potential_of(x)
         for q, _ in step_moves(g, x, steps):
-            if lp.distance(q, g.target) < p_x and oracle_candidate_open(
-                    g, q, lattice_key(q, g), env):
+            if lp.distance(q, g.target) < p_x and oracle_candidate_open(g, q, env):
                 return True
     return False
 
@@ -190,7 +189,7 @@ def _restricted_search_scan(g, pool, todo, blocks, env, cfg, eps=None):
         admitted = [(q, key, lp.distance(q, g.target))
                     for q, key in step_moves(g, vid, blocks.steps)
                     if (eps is None or oracle_distance_to_revealed(q, env) <= eps)
-                    and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
+                    and oracle_candidate_admissible(g, vid, q, env, cfg)]
         new_ids = graph.insert_admitted(g, vid, admitted, env, cfg)
         done.add(vid)
         pool.extend(new_ids)
@@ -208,8 +207,8 @@ def _in_escape_set_walk(g, pool, env, steps, closed):
     for v in _near_top_loop(g, pool):
         if v not in closed:
             if any(lp.distance(q, g.target) < g.potential_of(v)
-                   and oracle_candidate_open(g, q, key, env)
-                   for q, key in step_moves(g, v, steps)):
+                   and oracle_candidate_open(g, q, env)
+                   for q, _ in step_moves(g, v, steps)):
                 return True
             closed.add(v)
     return False
@@ -232,7 +231,7 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
         moves = step_moves(g, vid, blocks.steps)
         kept = [eps is None or oracle_distance_to_revealed(q, env) <= eps for q, _ in moves]
         want = [(q, key) for (q, key), ok in zip(moves, kept)
-                if ok and oracle_candidate_admissible(g, vid, q, key, env, cfg)]
+                if ok and oracle_candidate_admissible(g, vid, q, env, cfg)]
         assert [key for _, key, _ in got] == [key for _, key in want]
         assert all(q.tobytes() == w.tobytes() for (q, _, _), (w, _) in zip(got, want))
         assert [p for _, _, p in got] == [lp.distance(q, g.target) for q, _ in want]
@@ -240,7 +239,7 @@ def test_batched_escape_admission_equals_per_candidate_loops(monkeypatch):
         seen["formation-only"] += sum(
             key not in g.key_map and oracle_point_feasible(q, env)
             and oracle_segment_feasible(v, q, env)
-            and not oracle_candidate_admissible(g, vid, q, key, env, cfg) for q, key in moves)
+            and not oracle_candidate_admissible(g, vid, q, env, cfg) for q, key in moves)
         seen["group-moves"] += bool((np.count_nonzero(blocks.steps, axis=1) > 1).any())
         seen["masked"] += eps is not None
         return got
@@ -410,7 +409,7 @@ def test_escape_set_equals_per_vertex_loop_on_grown_trees(grown_trees):
             assert _near_top(g, pool) == _near_top_loop(g, pool)
             for moves in _moves_of(k, g):
                 for with_rows in (False, True):
-                    blocks = graph.MoveBlocks(moves, escape=True)
+                    blocks = graph.MoveBlocks(moves, g.radix, escape=True)
                     if with_rows:
                         blocks.prepare(g, 0, g.count // 2, env, cfg)
                     at = int(rng.integers(1, len(pool) + 1))
