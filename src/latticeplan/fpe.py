@@ -8,17 +8,19 @@ Gibbs-layer growth (positive diffusion) until the target node is claimed.
 Both come from the limits of the flow in closed form: a descent sweep is the
 set of nodes reachable over descent edges, and the diffusion limit is the
 Gibbs density on each lattice component.  The solver stays as the oracle the
-tests compare them with.  `contains_path` tests trajectory samples against
-the region's covered boxes in numpy passes; a region holds only its claimed
-nodes, and `region_dump` marks them.
+tests compare them with.  A lattice keeps its nodes on a dense grid of their
+keys and labels its components once.  `contains_path` tests each trajectory
+sample against the covered box at its nearest key first, and only the samples
+left over against the 3**n keys around their cell corner; a region holds only
+its claimed nodes, and `region_dump` marks them.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,7 +35,11 @@ _CONTAIN_BLOCK = 512  # samples per containment pass: 3**n * n keys each
 
 @dataclass(eq=False)
 class Lattice:
-    """Feasible grid points of one pitch with axis adjacency and potentials."""
+    """Feasible grid points of one pitch with axis adjacency and potentials.
+
+    `index` is the dense grid of lattice keys from `kmin` on: the node at
+    each key, or -1.  It reaches one key beyond the workspace on every side,
+    so a key clipped onto it finds -1 wherever it lies off the grid."""
 
     coords: np.ndarray          # (M, n)
     dx: float
@@ -41,7 +47,8 @@ class Lattice:
     p: np.ndarray               # (M,) potential per node
     edges: np.ndarray           # (E, 2) node index pairs, j < k not required
     neighbors: List[List[int]]  # per node, adjacent node indices
-    key_map: Dict[Tuple[int, ...], int]
+    index: np.ndarray           # node per lattice key, -1 where there is none
+    kmin: np.ndarray            # (n,) the key at index[0, ..., 0]
 
     @staticmethod
     def build(env: KnownEnvironment, anchor, dx: float, target) -> "Lattice":
@@ -56,23 +63,22 @@ class Lattice:
         hi = np.tile(env.bounds_hi, n // env.dim)
         kmin = np.ceil((lo - anchor) / dx - 1e-9).astype(int)
         kmax = np.floor((hi - anchor) / dx + 1e-9).astype(int)
-        ranges = [range(kmin[i], kmax[i] + 1) for i in range(n)]
-        shape = tuple(len(r) for r in ranges)
-        grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
-        x = anchor + dx * grid
+        shape = tuple(max(k, 0) for k in (kmax - kmin + 1).tolist())
+        # numpy holds no array of more bytes than np.intp counts; the largest
+        # arrays here hold n 8-byte numbers per grid point.
+        if math.prod(k + 2 for k in shape) * n * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"a region lattice of {math.prod(shape):.3g} grid points "
+                              f"(pitch {dx:g}) is too large for one array")
+        x = anchor + dx * (np.indices(shape).reshape(n, -1).T + kmin)
         ok = rows_point_feasible(x, env)
         coords_arr = x[ok]
-        key_map: Dict[Tuple[int, ...], int] = {
-            key: i for i, key in enumerate(map(tuple, grid[ok].tolist()))}
-        # Per grid point and axis, the node one step up that axis (-1: none);
-        # the nonzero entries of its node rows come out in (node, axis) order.
-        node = np.full(shape, -1)
-        node.flat[np.flatnonzero(ok)] = np.arange(coords_arr.shape[0])
-        up = np.full(shape + (n,), -1)
-        for axis in range(n):
-            lead = (slice(None),) * axis
-            up[lead + (slice(None, -1), Ellipsis, axis)] = node[lead + (slice(1, None),)]
-        up = up.reshape(-1, n)[ok]
+        index = np.full(tuple(k + 2 for k in shape), -1)
+        inner = (slice(1, -1),) * n
+        index[inner].flat[np.flatnonzero(ok)] = np.arange(coords_arr.shape[0])
+        # Per node and axis, the node one step up that axis (-1: none); the
+        # nonzero entries come out in (node, axis) order.
+        up = np.stack([index[inner[:axis] + (slice(2, None),) + inner[axis + 1:]]
+                       for axis in range(n)], axis=-1).reshape(-1, n)[ok]
         j, axes = np.nonzero(up >= 0)
         nbr = up[j, axes]
         free = rows_segment_feasible(coords_arr[j], coords_arr[nbr], env)
@@ -85,17 +91,23 @@ class Lattice:
         p = np.sqrt(np.vecdot(d, d))  # each node's distance to the target
         return Lattice(coords=coords_arr, dx=dx, anchor=anchor, p=p,
                        edges=edges_arr, neighbors=[sorted(ns) for ns in neighbors],
-                       key_map=key_map)
+                       index=index, kmin=kmin - 1)
 
     @property
     def size(self) -> int:
         return self.coords.shape[0]
 
+    def nodes_at_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The node at each lattice key of `keys` (..., n), or -1 where there
+        is none."""
+        cell = np.minimum(np.maximum(keys - self.kmin, 0), np.subtract(self.index.shape, 1))
+        return self.index[tuple(cell[..., axis] for axis in range(self.kmin.shape[0]))]
+
     def node_at(self, x) -> int:
         """Index of the lattice node at configuration x (must be on-grid)."""
-        key = tuple(int(v) for v in np.rint((as_config(x) - self.anchor) / self.dx))
-        idx = self.key_map.get(key)
-        if idx is None or float(np.max(np.abs(self.coords[idx] - x))) > 0.25 * self.dx:
+        x = as_config(x)
+        idx = int(self.nodes_at_keys(np.rint((x - self.anchor) / self.dx).astype(int)))
+        if idx < 0 or float(np.abs(self.coords[idx] - x).max()) > 0.25 * self.dx:
             raise ValueError(f"configuration {x} is not a lattice node")
         return idx
 
@@ -107,27 +119,22 @@ class Lattice:
         downhill = self.p[ej] > self.p[ek]
         return np.where(downhill, ej, ek), np.where(downhill, ek, ej)
 
-    def component_of(self, start: int) -> Set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def component_labels(self) -> np.ndarray:
-        """Per node, the index of its connected component (in order of each
-        component's lowest node)."""
-        labels = np.full(self.size, -1)
-        count = 0
-        for i in range(self.size):
-            if labels[i] < 0:
-                labels[list(self.component_of(i))] = count
-                count += 1
-        return labels
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Per node, the index of its connected component, in order of each
+        component's lowest node.  Each node points at a lower one or at
+        itself; every round hooks the higher root of each edge's ends onto
+        the lower one, then jumps pointers until each node points at its
+        root, the lowest node of its component found so far."""
+        root = np.arange(self.size)
+        ej, ek = self.edges.T
+        while True:
+            rj, rk = root[ej], root[ek]
+            if (rj == rk).all():
+                return np.cumsum(root == np.arange(self.size))[root] - 1
+            np.minimum.at(root, np.maximum(rj, rk), np.minimum(rj, rk))
+            while not ((hop := root[root]) == root).all():
+                root = hop
 
 
 @dataclass
@@ -323,7 +330,7 @@ def gibbs_steady(lat: Lattice, beta: float) -> np.ndarray:
     """
     if beta <= 0.0:
         raise ValueError("the Gibbs density requires beta > 0")
-    labels = lat.component_labels()
+    labels = lat.labels
     count = int(labels.max()) + 1
     low = np.full(count, np.inf)
     np.minimum.at(low, labels, lat.p)
@@ -331,13 +338,6 @@ def gibbs_steady(lat: Lattice, beta: float) -> np.ndarray:
     total = np.bincount(labels, weights=w, minlength=count)
     share = np.bincount(labels, minlength=count) / lat.size
     return w / total[labels] * share[labels]
-
-
-@lru_cache(maxsize=None)
-def _cell_offsets(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The 3**n lattice key offsets around a cell corner, each axis in the
-    order 0, 1, -1."""
-    return tuple(itertools.product((0, 1, -1), repeat=n))
 
 
 @dataclass(eq=False)
@@ -354,32 +354,31 @@ class Region:
 def contains_path(region: Region, trajectory: Sequence) -> bool:
     """True iff every trajectory sample lies inside some covered box, up to
     _CONTAIN_TOL.  A sample can only sit in the box of a claimed node at one
-    of the 3**n lattice keys around its cell corner; up to _CONTAIN_BLOCK
-    samples are tested per numpy pass, with the claimed nodes laid out on a
-    dense grid of their lattice keys."""
+    of the 3**n lattice keys around its cell corner.  The nearest key is one
+    of them and covers almost every sample, so it is tested first, for all
+    samples in one numpy pass; only the samples it leaves uncovered go
+    through the 3**n keys, up to _CONTAIN_BLOCK samples per pass."""
     if len(trajectory) == 0:
         return True
     if not region.nodes:
         return False
     x = np.asarray(trajectory, dtype=float).reshape(len(trajectory), -1)
     lat = region.lattice
-    nodes = np.asarray(region.nodes, dtype=int)
-    # A built lattice's node sits at anchor + dx * key, so rounding recovers
-    # the key `lat.key_map` holds it under.
-    keys = np.rint((lat.coords[nodes] - lat.anchor) / lat.dx).astype(int)
-    kmin = keys.min(axis=0)
-    grid = np.full(keys.max(axis=0) - kmin + 1, -1)
-    grid[tuple((keys - kmin).T)] = nodes
-    offsets = np.array(_cell_offsets(x.shape[1])) - kmin
-    for first in range(0, x.shape[0], _CONTAIN_BLOCK):
-        xs = x[first:first + _CONTAIN_BLOCK]
-        base = np.floor((xs - lat.anchor) / lat.dx).astype(int)
-        cell = base[:, None, :] + offsets  # (M, 3**n, n) grid indices
-        inside = ((cell >= 0) & (cell < grid.shape)).all(axis=-1)
-        idx = grid[tuple(np.clip(cell, 0, np.array(grid.shape) - 1).transpose(2, 0, 1))]
-        idx = np.where(inside, idx, -1)  # the claimed node at each cell corner, or -1
-        gap = np.abs(lat.coords[idx] - xs[:, None, :]).max(axis=-1)
-        if not ((idx >= 0) & (gap <= region.half_width + _CONTAIN_TOL)).any(axis=1).all():
+    reach = region.half_width + _CONTAIN_TOL
+    # Per node and one past the last (for a lookup's -1), whether it is claimed.
+    claimed = np.zeros(lat.size + 1, dtype=bool)
+    claimed[list(region.nodes)] = True
+    rel = (x - lat.anchor) / lat.dx
+    idx = lat.nodes_at_keys(np.rint(rel).astype(int))
+    covered = claimed[idx] & (np.abs(lat.coords[idx] - x).max(axis=-1) <= reach)
+    rest = np.flatnonzero(~covered)
+    n = x.shape[1]
+    for first in range(0, rest.shape[0], _CONTAIN_BLOCK):
+        some = rest[first:first + _CONTAIN_BLOCK]
+        offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # the 3**n around a corner
+        idx = lat.nodes_at_keys(np.floor(rel[some]).astype(int)[:, None, :] + offsets)
+        gap = np.abs(lat.coords[idx] - x[some, None, :]).max(axis=-1)
+        if not (claimed[idx] & (gap <= reach)).any(axis=1).all():
             return False
     return True
 
@@ -453,7 +452,7 @@ def build_region(start, target, lat: Lattice, beta: Optional[float] = None
     is claimed; the result is the union of boxes of half-width dx."""
     start_node = lat.node_at(start)
     target_node = lat.node_at(target)
-    if target_node not in lat.component_of(start_node):
+    if lat.labels[target_node] != lat.labels[start_node]:
         raise RegionError(
             "target is not lattice-connected to the start: no bounded search "
             "region exists at this pitch")

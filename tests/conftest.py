@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latticeplan as lp
+from latticeplan import fpe
 
 MAZE_STEP = 0.03
 # Vertex budget of a maze run, about twice the largest tree a test maze grows
@@ -111,6 +112,25 @@ def containment_scenes():
                     B([0.33, 0.58], [0.52, 0.63], known=True)],
          [0.1, 0.4], [0.9, 0.4]),
     ]
+
+
+def hand_lattice(coords, p, edges, dx: float = 0.1):
+    """A lattice built by hand from its nodes (on the grid of pitch dx
+    anchored at the origin), potentials and edges, with the neighbour lists
+    and the dense key grid `fpe.Lattice.build` would give it."""
+    coords = np.asarray(coords, dtype=float)
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    neighbors = [[] for _ in range(len(coords))]
+    for j, k in edges.tolist():
+        neighbors[j].append(k)
+        neighbors[k].append(j)
+    keys = np.rint(coords / dx).astype(int)
+    kmin = keys.min(axis=0) - 1  # a border of -1 one key wide, as built
+    index = np.full(keys.max(axis=0) - kmin + 2, -1)
+    index[tuple((keys - kmin).T)] = np.arange(len(coords))
+    return fpe.Lattice(coords=coords, dx=dx, anchor=np.zeros(coords.shape[1]),
+                       p=np.asarray(p, dtype=float), edges=edges,
+                       neighbors=[sorted(ns) for ns in neighbors], index=index, kmin=kmin)
 
 
 @pytest.fixture(scope="session")

@@ -242,13 +242,15 @@ def oracle_first_blocking_index(samples, known):
 def region_contains(region, x, tol: float = 1e-9) -> bool:
     """x lies in the closed box of half-width `region.half_width` (plus tol)
     around some claimed node: one node at a time, over the 3**n lattice keys
-    around x's cell corner."""
+    around x's cell corner.  Each claimed node's key is rounded from its
+    coordinates, not read from the lattice's index grid."""
     x = np.asarray(x, dtype=float)
     lat = region.lattice
-    claimed = set(region.nodes)
+    keys = np.rint((lat.coords[list(region.nodes)] - lat.anchor) / lat.dx).astype(int)
+    claimed = dict(zip(map(tuple, keys.tolist()), region.nodes))
     base = np.floor((x - lat.anchor) / lat.dx).astype(int).tolist()
     for off in itertools.product((0, 1, -1), repeat=len(base)):
-        idx = lat.key_map.get(tuple(b + o for b, o in zip(base, off)))
-        if idx in claimed and float(np.max(np.abs(lat.coords[idx] - x))) <= region.half_width + tol:
+        idx = claimed.get(tuple(b + o for b, o in zip(base, off)))
+        if idx is not None and np.max(np.abs(lat.coords[idx] - x)) <= region.half_width + tol:
             return True
     return False

@@ -1,10 +1,14 @@
 """Graph searches that ignore the tree structure: the cross-checks for
 `pathfind.backtrace`.  On a tree, the minimum-hop path and the minimum
-Euclidean-length path are both the unique root-to-target chain."""
+Euclidean-length path are both the unique root-to-target chain.  A
+depth-first walk over a lattice's neighbour lists is the cross-check for
+`fpe.Lattice.labels`."""
 
 import heapq
 from collections import deque
-from typing import List
+from typing import List, Set
+
+import numpy as np
 
 from latticeplan.geometry import distance
 from latticeplan.graph import SearchGraph
@@ -72,3 +76,29 @@ def dijkstra_path(g: SearchGraph) -> GraphPath:
                 parent[w] = v
                 heapq.heappush(heap, (nd, w))
     return _make_path(g, _chain(parent, target))
+
+
+def component_of(lat, start: int) -> Set[int]:
+    """The nodes of `start`'s lattice component, walked one neighbour at a
+    time."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in lat.neighbors[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def component_labels(lat) -> np.ndarray:
+    """Per node, the index of its connected component (in order of each
+    component's lowest node)."""
+    labels = np.full(lat.size, -1)
+    count = 0
+    for i in range(lat.size):
+        if labels[i] < 0:
+            labels[list(component_of(lat, i))] = count
+            count += 1
+    return labels

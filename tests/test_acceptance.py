@@ -16,8 +16,8 @@ from latticeplan.pathfind import backtrace
 from latticeplan.planner import (densify, lattice_capacity, metrics_text,
                                  trajectory_text)
 
-from conftest import (MAZE_BUDGET, MAZE_STEP, containment_scenes, make_corridor,
-                      make_deadend, make_maze, make_sealed)
+from conftest import (MAZE_BUDGET, MAZE_STEP, containment_scenes, hand_lattice,
+                      make_corridor, make_deadend, make_maze, make_sealed)
 from geometry_oracles import oracle_point_feasible
 from search_oracles import bfs_path, dijkstra_path
 
@@ -159,10 +159,7 @@ def test_cfl_steps_keep_masses_in_unit_interval():
 
 
 def test_oversized_step_triggers_cfl_error():
-    coords = np.array([[0.0, 0.0], [0.1, 0.0]])
-    lat = fpe.Lattice(coords=coords, dx=0.1, anchor=np.zeros(2),
-                      p=np.array([0.0, 1.0]), edges=np.array([[0, 1]]),
-                      neighbors=[[1], [0]], key_map={(0, 0): 0, (1, 0): 1})
+    lat = hand_lattice([[0.0, 0.0], [0.1, 0.0]], [0.0, 1.0], [[0, 1]])
     f = fpe.DensityField(rho=np.array([0.0, 1.0]), beta=0.0)
     w = fpe.diffusion_weights(lat)
     with pytest.raises(lp.CflViolationError):

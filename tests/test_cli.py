@@ -294,6 +294,20 @@ def test_out_of_memory_is_resource_limit(scn, capsys, monkeypatch):
     assert err == "resource limit: out of memory: Unable to allocate 7.28 TiB\n"
 
 
+@pytest.mark.parametrize("text", [OPEN_SCENARIO, SLAB_3D_SCENARIO])
+def test_region_lattice_too_large_for_an_array_is_resource_limit(tmp_path, capsys, text):
+    """At grid_step 1e-9 the region grid has about 1e18 points in 2-D and
+    1e27 in 3-D: more than numpy can hold, so the lattice is refused before
+    any array is allocated."""
+    p = tmp_path / "fine.scn"
+    p.write_text(text)
+    assert main(["region", "--scenario", str(p), "--override", "grid_step=1e-9"]) == 3
+    err = capsys.readouterr().err
+    count = "1e+18" if text == OPEN_SCENARIO else "1e+27"
+    assert err == (f"resource limit: out of memory: a region lattice of {count} grid "
+                   "points (pitch 1e-09) is too large for one array\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_number_in_file_is_scenario_error(tmp_path, capsys, value):
     p = tmp_path / "bad.scn"

@@ -17,23 +17,16 @@ from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
 from latticeplan.geometry import distance
 
-from conftest import containment_scenes
+from conftest import containment_scenes, hand_lattice
 from geometry_oracles import oracle_point_feasible, oracle_segment_feasible, region_contains
+from search_oracles import component_labels, component_of
 
 
 def _chain(p, dx=0.1):
     """Hand-built 1D chain lattice embedded in 2D."""
     m = len(p)
-    coords = np.array([[i * dx, 0.0] for i in range(m)])
-    edges = np.array([[i, i + 1] for i in range(m - 1)])
-    neighbors = [[] for _ in range(m)]
-    for j, k in edges:
-        neighbors[j].append(int(k))
-        neighbors[k].append(int(j))
-    key_map = {(i, 0): i for i in range(m)}
-    return fpe.Lattice(coords=coords, dx=dx, anchor=np.zeros(2),
-                       p=np.array(p, dtype=float), edges=edges,
-                       neighbors=neighbors, key_map=key_map)
+    return hand_lattice([[i * dx, 0.0] for i in range(m)], p,
+                        [[i, i + 1] for i in range(m - 1)], dx)
 
 
 def _env(prims=(), dmin=None, dmax=None):
@@ -324,7 +317,8 @@ def test_gradient_weights_equal_node_loop():
 
 def _loop_lattice(env, anchor, dx):
     """Grid points and up-edges tested one at a time: the loop Lattice.build
-    replaces.  Returns coords, key_map, edges and neighbors."""
+    replaces.  Returns coords, key_map, edges, neighbors and the lowest and
+    highest grid keys."""
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.shape[0]
     lo = np.tile(env.bounds_lo, n // env.dim)
@@ -345,7 +339,7 @@ def _loop_lattice(env, anchor, dx):
                 edges.append([j, k])
                 neighbors[j].append(k)
                 neighbors[k].append(j)
-    return np.array(coords), key_map, edges, [sorted(ns) for ns in neighbors]
+    return np.array(coords), key_map, edges, [sorted(ns) for ns in neighbors], kmin, kmax
 
 
 def test_lattice_build_equals_point_and_edge_loop():
@@ -362,12 +356,67 @@ def test_lattice_build_equals_point_and_edge_loop():
                    [0.1, 0.8], 0.05, [0.8, 0.1]))
     for env, start, dx, target in worlds:
         lat = fpe.Lattice.build(env, start, dx, target)
-        coords, key_map, edges, neighbors = _loop_lattice(env, start, dx)
+        coords, key_map, edges, neighbors, kmin, kmax = _loop_lattice(env, start, dx)
         assert np.array_equal(lat.coords, coords)
-        assert list(lat.key_map.items()) == list(key_map.items())
+        # The grid spans the workspace's keys and one more on every side;
+        # each cell holds the loop's node at its key, or -1.
+        assert lat.kmin.tolist() == (kmin - 1).tolist()
+        assert lat.index.shape == tuple((kmax - kmin + 3).tolist())
+        for cell in itertools.product(*map(range, lat.index.shape)):
+            key = tuple((lat.kmin + cell).tolist())
+            assert lat.index[cell] == key_map.get(key, -1), key
         assert lat.edges.tolist() == edges
         assert lat.neighbors == neighbors
         assert lat.p.tolist() == [distance(x, target) for x in coords]
+
+
+def test_node_at_reads_the_grid_within_a_quarter_pitch():
+    """Keys one or two pitches beyond the grid on either side, where a raw
+    index would wrap around, and points more than a quarter pitch off a node
+    are not nodes; within a quarter pitch the node is found."""
+    lat = fpe.Lattice.build(_env(), [0.05, 0.05], 0.1, [0.95, 0.95])
+    assert lat.node_at([0.05, 0.05]) == 0 and lat.node_at([0.95, 0.95]) == lat.size - 1
+    for corner in ([0.05, 0.05], [0.95, 0.95], [0.05, 0.95]):
+        for axis, shift in itertools.product((0, 1), (-0.2, -0.1, 0.1, 0.2)):
+            x = np.array(corner)
+            x[axis] += shift
+            if not 0.0 <= x[axis] <= 1.0:
+                with pytest.raises(ValueError):
+                    lat.node_at(x)
+    for i in (0, 13, lat.size - 1):
+        for off in ([0.024, -0.024], [-0.024, 0.0], [0.0, 0.024]):
+            assert lat.node_at(lat.coords[i] + off) == i
+        for off in ([0.026, 0.0], [0.0, -0.026], [0.04, 0.04]):
+            with pytest.raises(ValueError):
+                lat.node_at(lat.coords[i] + off)
+
+
+def test_labels_equal_the_component_walk():
+    """`Lattice.labels` numbers the components as the depth-first walk does,
+    on the containment scenes, on random worlds cut into several components
+    and on the same lattices with their nodes renumbered and edges flipped."""
+    lats = [fpe.Lattice.build(_env(prims), start, 0.05, target)
+            for _, prims, start, target in containment_scenes()]
+    for seed in range(12):
+        lats.append(_random_world(seed, boxes=30)[1])
+    rng = np.random.default_rng(8)
+    for lat in list(lats):
+        perm = rng.permutation(lat.size)
+        edges = perm[lat.edges]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        coords = np.empty_like(lat.coords)
+        coords[perm] = lat.coords
+        lats.append(hand_lattice(coords - lat.anchor, lat.p[np.argsort(perm)], edges, lat.dx))
+    several = 0
+    for lat in lats:
+        labels = component_labels(lat)
+        assert np.array_equal(lat.labels, labels)
+        several += labels.max() > 1
+        start = int(rng.integers(lat.size))
+        assert set(np.flatnonzero(lat.labels == lat.labels[start]).tolist()) == \
+            component_of(lat, start)
+    assert several >= 8  # lattices of three or more components
 
 
 def test_gibbs_steady_equals_solver_on_random_worlds():
@@ -385,7 +434,7 @@ def test_gibbs_steady_weights_components_by_size():
     # share of the uniform mass, spread as a Gibbs density within the side.
     env = _env([lp.ObstaclePrimitive.box([0.27, 0.0], [0.33, 1.0], known=True)])
     lat = fpe.Lattice.build(env, [0.05, 0.05], 0.1, [0.75, 0.45])
-    labels = lat.component_labels()
+    labels = lat.labels
     assert sorted(np.bincount(labels)) == [30, 70]
     beta = 0.08
     rho = fpe.gibbs_steady(lat, beta)
@@ -449,9 +498,13 @@ def test_contains_path_equals_per_sample_contains():
     """The one-pass containment test equals `region_contains` per sample: on
     planned trajectories, on random points, and on points at exactly the
     half-width plus tolerance from a claimed node along one axis, or one ulp
-    beyond it."""
+    beyond it.  Samples whose nearest key holds no claimed node, but a
+    claimed node one key farther covers them, pass only through the 3**n
+    keys; the nearest-key test decides some samples and the 3**n pass
+    others."""
     rng = np.random.default_rng(3)
     regions = in_box = edge_in = edge_out = 0
+    by_nearest = by_cells = unclaimed = off_lattice = 0
     for truth, start, target, step in _regions_with_trajectories():
         res = lp.plan(truth, start, target, lp.PlannerConfig(step=step, sensing_radius=0.12,
                                                           max_vertices=200))
@@ -474,10 +527,46 @@ def test_contains_path_equals_per_sample_contains():
                     y = x.copy()
                     y[axis] = np.nextafter(x[axis], sign * np.inf)
                     samples.append(y)
-        for x in samples:
+        # Three quarters of a pitch from a claimed node, toward a key that is
+        # off the lattice or holds an unclaimed node: covered, though not by
+        # the nearest key.  Also the half-width plus tolerance that way, and
+        # one ulp beyond it.
+        node_of = {tuple(k): i for i, k in enumerate(
+            np.rint((lat.coords - lat.anchor) / lat.dx).astype(int).tolist())}
+        claimed = set(region.nodes)
+        beyond = []
+        for i in region.nodes:
+            key = np.rint((lat.coords[i] - lat.anchor) / lat.dx).astype(int)
+            for axis, sign in itertools.product(range(n), (1, -1)):
+                near = key.copy()
+                near[axis] += sign
+                if node_of.get(tuple(near.tolist())) in claimed:
+                    continue
+                off_lattice += tuple(near.tolist()) not in node_of
+                unclaimed += tuple(near.tolist()) in node_of
+                x = lat.coords[i].copy()
+                x[axis] += sign * 0.75 * lat.dx
+                beyond.append(x)
+                x = lat.coords[i].copy()
+                x[axis] += sign * reach
+                samples.append(x)
+                samples.append(x.copy())
+                samples[-1][axis] = np.nextafter(x[axis], sign * np.inf)
+        decided = []  # the rank of each key array looked up: 3 for the 3**n keys
+
+        def spy(keys, lookup=lat.nodes_at_keys):
+            decided.append(np.ndim(keys))
+            return lookup(keys)
+        lat.nodes_at_keys = spy
+        for x in samples + beyond:
             want = region_contains(region, x)
+            decided.clear()
             assert fpe.contains_path(region, [x]) == want, x
             in_box += want
+            by_cells += 3 in decided
+            by_nearest += 3 not in decided
+        assert all(fpe.contains_path(region, [x]) for x in beyond)
+        del lat.nodes_at_keys
         on_edge = [region_contains(region, x) for x in samples[200:]]
         edge_in += sum(on_edge[0::2])
         edge_out += len(on_edge[1::2]) - sum(on_edge[1::2])
@@ -488,6 +577,7 @@ def test_contains_path_equals_per_sample_contains():
         assert fpe.contains_path(region, list(traj) + [samples[-1]]) == region_contains(
             region, samples[-1])
     assert regions == 25 and in_box > 0 and edge_in > 0 and edge_out > 0
+    assert by_nearest > 0 and by_cells > 0 and unclaimed > 0 and off_lattice > 0
     assert fpe.contains_path(region, [])
     # Paths longer than one pass: inside, and with one sample outside the
     # region in the third pass.
