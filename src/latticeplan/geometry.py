@@ -7,9 +7,9 @@ workspace: its interior is infeasible, its boundary feasible.  An
 environment snapshot holds its revealed boxes as (P, d) corner arrays `lo`
 and `hi`, and each test below reads them in one call: `box_distances` for
 distances, one point-in-box expression for positions, and the slab test
-`segments_hit_boxes` for many segments at once.  The slab test answers per
-box and segment; its callers reduce over the boxes, and the planner's
-motion check also reads which boxes block.
+`segments_hit_boxes` for many segments at once, per box and segment.  The
+point, clearance-box and slab tests lay their work out (d, P, N), the N
+positions, moves or segments innermost.
 
 Every feasibility test is one `rows_*` kernel, which answers for every row
 of a batch of configurations (N, n), or of moves given as start and end
@@ -143,11 +143,14 @@ def _rows_robots(x: np.ndarray, dim: int) -> np.ndarray:
 
 def rows_point_feasible(x: np.ndarray, env) -> np.ndarray:
     """Per configuration row of x (N, n), shaped (N,): every robot position
-    is in bounds and outside every revealed box."""
-    pos = _rows_robots(x, env.dim)
-    ok = ~((pos < env.bounds_lo) | (pos > env.bounds_hi)).any(axis=(1, 2))
-    p = pos[..., None, :]
-    return ok & ~((env.lo < p) & (p < env.hi)).all(axis=-1).any(axis=(1, 2))
+    is in bounds and outside every revealed box.  The N * k positions are
+    laid out (d, P, N * k), positions innermost, as in `segments_hit_boxes`."""
+    dim = env.dim
+    p = np.ascontiguousarray(x.reshape(-1, dim).T)  # (d, N * k)
+    bad = ((p < env.bounds_lo[:, None]) | (p > env.bounds_hi[:, None])).any(axis=0)
+    p = p[:, None, :]
+    bad |= ((env.lo.T[:, :, None] < p) & (p < env.hi.T[:, :, None])).all(axis=0).any(axis=0)
+    return ~bad.reshape(x.shape[0], x.shape[1] // dim).any(axis=1)
 
 
 def rows_segment_feasible(a: np.ndarray, b: np.ndarray, env) -> np.ndarray:
@@ -211,12 +214,15 @@ def rows_formation_feasible(a: np.ndarray, b: np.ndarray, env, dmin: float, dmax
            | (_norms(r0 + t[..., None] * dr) < dmin)).any(axis=1)
     # A row whose clearance box (every robot position at a and b, widened by
     # _MARGIN) is apart from every box along some axis passes unsampled.
+    # Laid out (d, P, N'), rows innermost.
     idx = np.flatnonzero(ok)
     hull = np.concatenate([pa[idx], pb[idx]], axis=1)  # (N', 2k, d)
-    lo, hi = hull.min(axis=1), hull.max(axis=1)
+    lo = np.ascontiguousarray(hull.min(axis=1).T)[:, None, :]  # (d, 1, N')
+    hi = np.ascontiguousarray(hull.max(axis=1).T)[:, None, :]
     lo = lo - _MARGIN * (1.0 + np.abs(lo))
     hi = hi + _MARGIN * (1.0 + np.abs(hi))
-    idx = idx[((lo[:, None] < env.hi) & (env.lo < hi[:, None])).all(axis=-1).any(axis=1)]
+    meets = (lo < env.hi.T[:, :, None]) & (env.lo.T[:, :, None] < hi)
+    idx = idx[meets.all(axis=0).any(axis=0)]
     if idx.shape[0] == 0:
         return ok
     # Link samples along the motion: sample m of a row whose motion takes

@@ -4,34 +4,27 @@ only moves that pass all revealed constraints.
 
 Every vertex carries one integer lattice key, its lattice coordinates k as
 `sum(k[c] * R**c)` with R = 2 * max_vertices + 1.  The root's is 0; a move's
-key is its parent's key plus the move's key step, that sum over its +-1 on
-each moved axis, so no key is rounded from floats.  An edge moves a
-coordinate by at most one, so |k[c]| stays below the vertex budget and
-distinct lattice points have distinct keys.  The unexpanded vertices sit in
-a heap of (potential, id), which gives the lowest potential first and the
-lowest id on ties.
+key is its parent's key plus the move's key step, so no key is rounded from
+floats.  An edge moves a coordinate by at most one, so |k[c]| stays below
+the vertex budget and distinct lattice points have distinct keys.  The
+unexpanded vertices sit in a heap of (potential, id): the lowest potential
+first, the lowest id on ties.
 
 Moves come from one generator, `group_steps`: each group of robots steps
 together by one pitch along one workspace axis; single robots give the 2n
 axis moves.  One conjunction, `admit_rows`, admits a batch of moves: the
 bounds and the revealed box interiors at the end point, then every robot's
-segment or, for a formation, `rows_formation_feasible` (the band at the end
-point and over the motion, the sampled robot-to-robot links and the
-segments).  `MoveBlocks` runs it over the moves of many vertices in passes
-of at most `_ADMIT_ROWS` moves and keeps every move's verdict and potential
-and, for an escape, its end-point test and, in a tree that hugs walls, its
-end point's clearance.  These depend only on a vertex's floats and the
-environment, which is fixed while a tree grows, so expanding a vertex later
-only looks its moves' keys up.  The main loop prepares every vertex
-inserted since its last block.  When the vertex it pops is the root or a
-child of the vertex it expanded just before, that block's last pass also
-admits the greedy `descent` ahead of it, as far as the tree followed the
-last one allows, and the later pops along it copy its rows instead of
-preparing a block.  Wall hugging moves as the main loop does, so it expands
-with the tree's own blocks, its shell a mask on the clearance rows; a
-fixed-shape escape, with its own moves, prepares a vertex from before the
-search alone and the vertices it added in blocks.  A target link is
-`formation_segment_feasible`, one move through the same kernels.
+segment or, for a formation, `rows_formation_feasible`.  `MoveBlocks` runs
+it over the moves of many vertices in passes of at most `_ADMIT_ROWS` moves
+and keeps each move's rows: its verdict, potential and, for an escape, its
+end-point test and clearance.  Rows depend only on a vertex's floats and
+the environment, fixed while a tree grows, so expanding a vertex later only
+looks its moves' keys up.  One rule, `MoveBlocks.ready`, gives a vertex its
+rows, in the main loop and in both escapes: a block prepares every vertex
+inserted since the last block and, when the popped vertex is a child of the
+vertex expanded just before, also admits the greedy `descent` ahead of it,
+whose later pops recall their rows instead of preparing a block.  A target
+link is `formation_segment_feasible`, one move through the same kernels.
 
 A tree that ends with every vertex expanded and no target link (`target_id`
 None) certifies that no path exists at this pitch.
@@ -185,21 +178,10 @@ def candidate_admissible(g: SearchGraph, from_id: int, q: np.ndarray, key: Key,
         admit_rows(g.coords[from_id][None], as_config(q)[None], env, cfg)[0])
 
 
-def _band(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
+def band_of(env: KnownEnvironment) -> Optional[Tuple[float, float]]:
+    """The formation band (dmin, dmax), or None for robots without one."""
     dmin, dmax = env.truth.dmin, env.truth.dmax
     return None if dmin is None or dmax is None else (dmin, dmax)
-
-
-def open_rows(q: np.ndarray, env: KnownEnvironment, point: np.ndarray) -> np.ndarray:
-    """Per configuration row of q (N, n) whose `rows_point_feasible` is
-    `point`, in one pass: in bounds, outside the revealed boxes and, for a
-    formation, `rows_multi_robot_feasible`."""
-    ok = point.copy()
-    band = _band(env)
-    if band is not None and ok.any():
-        idx = np.flatnonzero(ok)
-        ok[idx] = rows_multi_robot_feasible(q[idx], env, *band)
-    return ok
 
 
 def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment, cfg: GenConfig,
@@ -209,7 +191,7 @@ def admit_rows(a: np.ndarray, q: np.ndarray, env: KnownEnvironment, cfg: GenConf
     it), and every robot's segment or, for a formation,
     `rows_formation_feasible` on the rows whose end point passes."""
     ok = rows_point_feasible(q, env) if point is None else point.copy()
-    band = _band(env)
+    band = band_of(env)
     if band is None:
         return ok & rows_segment_feasible(a, q, env)
     idx = np.flatnonzero(ok)
@@ -242,21 +224,31 @@ def move_rows(v: np.ndarray, steps: np.ndarray, step: float) -> np.ndarray:
     return q
 
 
-def descent(g: SearchGraph, vid: int, count: int) -> np.ndarray:
-    """Up to `count` points (N, n) of the greedy descent from vertex vid:
-    each steps the coordinate farthest from the target (the lowest on ties)
-    by one pitch toward it, while that gap exceeds half a pitch.  A point
-    is built as `MoveBlocks.admitted` builds a move, so a vertex reached
-    along the descent has exactly its floats."""
+def descent(g: SearchGraph, vid: int, groups: Sequence[Sequence[int]],
+            count: int) -> np.ndarray:
+    """Up to `count` points (N, n) of the greedy descent from vertex vid
+    over `groups`, the moved coordinates of each positive `group_steps` row:
+    each point steps toward the target the group whose summed gap exceeds
+    half a pitch per coordinate by the most (the first on ties), the move
+    that lowers the potential most, until none does; singleton groups step
+    the coordinate farthest from the target.  Points are built as
+    `MoveBlocks.admitted` builds a move, to the same floats."""
     x, t, step = g._xy[vid].tolist(), g.target.tolist(), g.step
+    # Each group's signed summed gap and its excess; a step changes one group's.
+    gaps = [sum(t[c] - x[c] for c in group) for group in groups]
+    halves = [0.5 * step * len(group) for group in groups]
+    excess = [abs(s) - h for s, h in zip(gaps, halves)]
     out: List[List[float]] = []
     while len(out) < count:
-        gaps = [abs(b - a) for a, b in zip(x, t)]
-        c = gaps.index(max(gaps))
-        if gaps[c] <= 0.5 * step:
+        i = excess.index(max(excess))
+        if excess[i] <= 0.0:
             break
+        sign = 1 if gaps[i] > 0.0 else -1
         x = list(x)
-        x[c] += (1 if t[c] > x[c] else -1) * step
+        for c in groups[i]:
+            x[c] += sign * step
+        gaps[i] = s = sum(t[c] - x[c] for c in groups[i])
+        excess[i] = abs(s) - halves[i]
         out.append(x)
     return np.array(out, dtype=float).reshape(-1, g.n)
 
@@ -266,12 +258,11 @@ class MoveBlocks:
     steps in `radix` are `key_steps`, by vertex id: `passed[v, m]` holds
     whether move m of vertex v passes `admit_rows` and `pot[v, m]` its
     potential; for an escape (`escape` or `clear`), `open[v, m]` whether its
-    end point passes `rows_point_feasible` (for one robot, `open_rows`) and,
-    with `clear`, `clear[v, m]` its end point's `clearances`.  The vertices
-    in [first, prepared) have rows; one below `first` is prepared alone, and
-    the next block begins at `prepared`.  `closed` holds the vertices an
-    escape found with no open move of lower potential among `steps`, which
-    no later vertex can open."""
+    end point passes `rows_point_feasible` and, with `clear`, `clear[v, m]`
+    its end point's `clearances`.  `ready` is the one rule that gives a
+    vertex its rows, and `with_rows` tells which vertices have them.
+    `closed` holds the vertices an escape found with no open move of lower
+    potential among `steps`, which no later vertex can open."""
 
     def __init__(self, steps: np.ndarray, radix: int, first: int = 0, escape: bool = False,
                  clear: bool = False):
@@ -287,6 +278,8 @@ class MoveBlocks:
         self.closed: Set[int] = set()
         # Per move, its moved coordinates and their signs, to step the floats.
         self._moves = [[(c, d) for c, d in enumerate(s) if d] for s in steps.tolist()]
+        # The coordinate groups the moves translate, for the descent ahead.
+        self._groups = [[c for c, _ in moved] for moved in self._moves if moved[0][1] > 0]
         # The last descent admitted ahead: its points' row index by coordinate
         # bytes, compact copies of their rows, and the pops it served.
         self._ahead: dict = {}
@@ -305,12 +298,9 @@ class MoveBlocks:
                 cfg: GenConfig, ahead: Optional[int] = None) -> None:
         """Test the moves of the vertices [first, last) in passes of at most
         `_ADMIT_ROWS` moves, which bound the kernels' work arrays.  With
-        `ahead`, a vertex id, the last pass also tests the moves of points of
-        the greedy descent from that vertex, and keeps their rows for
-        `recall` in place of the previous descent's.  It takes as many as
-        fill the pass, but at most 2f + 2 once a descent served f pops: where
-        the tree leaves each descent early, most of its points cost rows and
-        save no pass."""
+        `ahead`, a vertex id, the last pass also tests, and keeps for
+        `recall`, the moves of the descent from it: as many points as fill
+        the pass, at most 2f + 2 once the last descent served f pops."""
         m = len(self.steps)
         self._reserve(last)
         per = max(_ADMIT_ROWS // m, 1)
@@ -320,7 +310,7 @@ class MoveBlocks:
             v = g._xy[rows]
             b = len(v)
             if ahead is not None and rows.stop == last:
-                v = np.concatenate([v, descent(g, ahead, min(per - b, reach))])
+                v = np.concatenate([v, descent(g, ahead, self._groups, min(per - b, reach))])
             q = move_rows(v, self.steps, g.step).reshape(-1, g.n)
             point = rows_point_feasible(q, env)
             ok = admit_rows(np.repeat(v, m, axis=0), q, env, cfg, point).reshape(-1, m)
@@ -339,11 +329,26 @@ class MoveBlocks:
             self._followed = 0
         self.prepared = max(self.prepared, last)
 
+    def ready(self, g: SearchGraph, vid: int, last: Optional[int], env: KnownEnvironment,
+              cfg: GenConfig) -> None:
+        """Give vertex vid its rows: alone if it is older than these blocks
+        (below `first`), else from the last descent admitted ahead, else in
+        a block of every vertex from `prepared` on, which, when vid is a
+        child of `last`, the vertex expanded just before, also admits the
+        descent ahead of vid.  Vertices in [first, prepared) have rows."""
+        if vid < self.first:
+            self.prepare(g, vid, vid + 1, env, cfg)
+        elif vid >= self.prepared and not self.recall(g, vid):
+            self.prepare(g, self.prepared, g.count, env, cfg,
+                         vid if g.ancestor[vid] == last else None)
+
+    def with_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each vertex of the id array ids has rows from a block."""
+        return (ids >= self.first) & (ids < self.prepared)
+
     def recall(self, g: SearchGraph, vid: int) -> bool:
         """Copy the rows of vertex vid from the last descent admitted ahead,
-        if the vertex has the coordinates of one of its points: a move's
-        rows depend only on the vertex's floats and on the environment,
-        fixed while a tree grows."""
+        if the vertex has the floats of one of its points."""
         i = self._ahead.get(g._xy[vid].tobytes())
         if i is None:
             return False
@@ -433,11 +438,7 @@ def generate_graph(start, target, env: KnownEnvironment, cfg: GenConfig,
         vid = g.argmin_unexpanded()
         if vid is None:
             return g
-        if vid >= blocks.prepared and not blocks.recall(g, vid):
-            # A vertex on the greedy descent is likely followed by the
-            # descent ahead of it: admit that in the same pass.
-            ahead = vid if g.ancestor[vid] == last else None
-            blocks.prepare(g, blocks.prepared, g.count, env, cfg, ahead)
+        blocks.ready(g, vid, last, env, cfg)
         last = vid
         base_pot = g.potential_of(vid)
         new_ids = insert_admitted(g, vid, blocks.admitted(g, vid), env, cfg)

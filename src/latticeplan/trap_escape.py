@@ -7,19 +7,19 @@ until some vertex near the pool's top has a feasible, unvisited,
 lower-potential neighbor; then control returns to the unrestricted
 expansion loop.
 
-Wall hugging makes the main loop's moves, so its state lives with the
-tree, in a `WallHug` that `generate_graph` owns: the tree's
-`graph.MoveBlocks`, whose rows also hold each move's end-point clearance,
-and every vertex's clearance, computed once per vertex.  An episode's shell
-is a mask on rows the main loop has mostly prepared already, its pool one
-comparison, and the vertices it need not expand the tree's expanded flags.
-A fixed-shape search admits rigid group translations through a
-`MoveBlocks` of its own, preparing a vertex from before the search alone
-and the vertices it added in blocks.  In both, `_EscapeSet` keeps the
-vertices near the pool's top up to date as the pool grows and tests only
-those not tested yet: it drops a move whose key (its vertex's key plus the
-move's key step) is in the tree before any kernel runs, and reads the
-end-point rows of the vertices that have them.
+Both searches give a vertex its rows by the main loop's rule,
+`graph.MoveBlocks.ready`: blocks of the vertices added since the last
+block, each admitting the descent ahead of a vertex that continues the
+last expansion.  Wall hugging makes the main loop's moves, so it shares
+the tree's `MoveBlocks` (whose rows also hold each move's end-point
+clearance) through a `WallHug` that `generate_graph` owns, with every
+vertex's clearance computed once; an episode's shell is a mask on those
+rows.  A fixed-shape search has a `MoveBlocks` of rigid group translations
+of its own, whose descent ahead is a rigid translation.  In both,
+`_EscapeSet` keeps the vertices near the pool's top up to date as the pool
+grows and tests only those not tested yet: it drops a move whose key is in
+the tree before any kernel runs, and reads the end-point rows of the
+vertices that have them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .environment import KnownEnvironment, clearances
-from .geometry import robot_pairs, rows_point_feasible
-from .graph import (GenConfig, MoveBlocks, SearchGraph, group_steps, insert_admitted, move_rows,
-                    open_rows)
+from .geometry import robot_pairs, rows_multi_robot_feasible, rows_point_feasible
+from .graph import (GenConfig, MoveBlocks, SearchGraph, band_of, group_steps, insert_admitted,
+                    move_rows)
 
 _TIE = 1e-9
 
@@ -85,11 +85,10 @@ def _top(g: SearchGraph, ids: np.ndarray) -> int:
 def _first_open(g: SearchGraph, todo: np.ndarray, blocks: MoveBlocks,
                 env: KnownEnvironment) -> Optional[int]:
     """The index in the id array todo of the first vertex with an open
-    lower-potential move among the moves of `blocks`, or None.  Moves are
-    filtered on potential and unvisited keys (the vertex's key plus
-    `blocks.key_steps`) first; a vertex with a row in `blocks` gives its end
-    points' test from `blocks.open`, and a kernel runs only on the moves
-    left, if any."""
+    lower-potential move among the moves of `blocks`, or None.  An open move
+    is one to an unvisited key whose end point passes `rows_point_feasible`
+    (read from `blocks.open` where the vertex has rows) and, for a
+    formation, `rows_multi_robot_feasible`."""
     q = move_rows(g._xy[todo], blocks.steps, g.step)
     d = q - g.target
     # A move's potential is bit-identical to distance(q, g.target).
@@ -102,12 +101,16 @@ def _first_open(g: SearchGraph, todo: np.ndarray, blocks: MoveBlocks,
     if not moves:
         return None
     i, m = np.array(moves).T
-    ready = (todo[i] >= blocks.first) & (todo[i] < blocks.prepared)
+    ready = blocks.with_rows(todo[i])
     point = np.empty(len(moves), dtype=bool)
     point[ready] = blocks.open[todo[i[ready]], m[ready]]
     if not ready.all():
         point[~ready] = rows_point_feasible(q[i[~ready], m[~ready]], env)
-    found = i[open_rows(q[i, m], env, point)]
+    band = band_of(env)
+    if band is not None and point.any():
+        idx = np.flatnonzero(point)
+        point[idx] = rows_multi_robot_feasible(q[i[idx], m[idx]], env, *band)
+    found = i[point]
     return int(found[0]) if found.shape[0] else None
 
 
@@ -180,12 +183,11 @@ def _restricted_search(g: SearchGraph, pool: np.ndarray, todo: np.ndarray, block
     order = np.lexsort((todo, g._pot[todo]))
     frontier = list(zip(g._pot[todo[order]].tolist(), todo[order].tolist()))  # sorted: a heap
     added: List[int] = []
+    last = None  # the vertex expanded just before
     while frontier:
         _, vid = heapq.heappop(frontier)
-        if vid < blocks.first:
-            blocks.prepare(g, vid, vid + 1, env, cfg)
-        elif vid >= blocks.prepared:
-            blocks.prepare(g, blocks.prepared, g.count, env, cfg)
+        blocks.ready(g, vid, last, env, cfg)
+        last = vid
         new_ids = insert_admitted(g, vid, blocks.admitted(g, vid, eps), env, cfg)
         added.extend(new_ids)
         if g.target_id is not None:
@@ -216,23 +218,13 @@ def escape_near_obstacle(g: SearchGraph, trap: int, env: KnownEnvironment,
 
 
 def _components(k: int, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """Connected components of the robot graph induced by active constraints."""
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    comps: dict = {}
-    for r in range(k):
-        comps.setdefault(find(r), []).append(r)
-    return [comps[r] for r in sorted(comps)]
+    """Connected components of the robot graph induced by active constraints,
+    ordered by their lowest robot, whose id k sweeps over the pairs spread."""
+    label = list(range(k))
+    for _ in range(k):
+        for i, j in pairs:
+            label[i] = label[j] = min(label[i], label[j])
+    return [[r for r in range(k) if label[r] == c] for c in sorted(set(label))]
 
 
 def _shape_matches(g: SearchGraph, ref: np.ndarray,

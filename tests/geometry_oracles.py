@@ -2,7 +2,7 @@
 and one sample at a time, in Python loops.
 
 The program answers these tests with the batched kernels of
-`latticeplan.geometry`, `graph.open_rows`/`admit_rows` and
+`latticeplan.geometry`, `graph.admit_rows`, `trap_escape._first_open` and
 `fpe.contains_path`; the tests compare them with the functions below.
 Boxes come from `env.truth.primitives` by revealed index, not from the
 environment's cached corner arrays, and a point-in-box or point-to-box test

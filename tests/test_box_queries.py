@@ -156,6 +156,40 @@ def test_batched_formation_kernel_equals_scalar_tests(batch):
         assert rows_formation_feasible(a[:0], b[:0], env, dmin, dmax, LINK_STEP).shape == (0,)
 
 
+def test_point_kernel_leaves_faces_free():
+    """A box face through a robot position leaves the position free: on a
+    lower or an upper face, on an edge or a corner, and on the workspace
+    bounds.  One robot strictly inside a box, an ulp past a face, or an ulp
+    outside the bounds rejects its row.  Rows of 1-3 robots, in 2-D and 3-D,
+    equal the scalar oracle."""
+    for dim in (2, 3):
+        lo, hi = np.full(dim, 0.25), np.full(dim, 0.5)
+        boxes = [lp.ObstaclePrimitive.box(lo, hi),
+                 lp.ObstaclePrimitive.box(np.full(dim, 0.625), np.ones(dim))]
+        truth = lp.GroundTruth.create(dim, np.zeros(dim), np.ones(dim), boxes)
+        env = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
+        mid = np.full(dim, 0.375)
+        free = [lo, hi, np.zeros(dim), np.ones(dim), np.r_[lo[:1], hi[1:]]]
+        blocked = [mid, np.nextafter(lo, hi), np.nextafter(hi, lo), np.full(dim, 1.0 + 2**-52)]
+        for c in range(dim):
+            for face in (lo[c], hi[c]):
+                on = mid.copy()
+                on[c] = face
+                free.append(on)
+                past = on.copy()
+                past[c] = np.nextafter(face, mid[c])
+                blocked.append(past)
+        for k in (1, 2, 3):
+            rows = [np.concatenate([free[(i + r) % len(free)] for r in range(k)])
+                    for i in range(len(free))]
+            rows += [np.concatenate([free[i % len(free)]] * (k - 1) + [b])
+                     for i, b in enumerate(blocked)]
+            x = np.array(rows)
+            got = rows_point_feasible(x, env).tolist()
+            assert got == [True] * len(free) + [False] * len(blocked), (dim, k)
+            assert got == [oracle_point_feasible(y, env) for y in x]
+
+
 def test_formation_kernel_slab_tests_only_rows_near_a_box(monkeypatch):
     """On batches with boxes, some rows in the band pass the clearance test
     without a slab test and others reach it, and every answer equals the

@@ -402,8 +402,8 @@ def test_descent_ahead_shrinks_to_what_the_tree_follows(monkeypatch):
     seen = {"capped": 0, "points": 0}
     state = {}
 
-    def recording_descent(g, vid, count):
-        points = descent(g, vid, count)
+    def recording_descent(g, vid, groups, count):
+        points = descent(g, vid, groups, count)
         followed = state["blocks"]._followed
         if followed is not None:
             assert len(points) <= 2 * followed + 2
@@ -426,6 +426,88 @@ def test_descent_ahead_shrinks_to_what_the_tree_follows(monkeypatch):
         vertices += res.metrics["max_vertices"]
     # Descents as long as a pass allows would admit 0.23 points per vertex.
     assert seen["capped"] > 50 and seen["points"] < 0.15 * vertices, (seen, vertices)
+
+
+def _descent_from(start, target, groups, count=50, step=0.25):
+    """`graph.descent` from a lone root at start, as nested lists."""
+    g = SearchGraph(np.array(start, dtype=float), np.array(target, dtype=float), step)
+    g.insert(g.anchor, lp.distance(start, target), None, 0)
+    return graph.descent(g, 0, groups, count).tolist()
+
+
+def _coordinate_groups(steps):
+    """The moved coordinates of each positive `group_steps` row."""
+    return [np.flatnonzero(s).tolist() for s in steps if (s >= 0).all()]
+
+
+def greedy_group_descent(x, target, groups, step, count):
+    """The oracle: from x, the group translation by +-step of lowest squared
+    distance to the target, the first group on ties, while it is lower than
+    the distance from x.  On a grid of 1/8 every sum is exact."""
+    def d2(y):
+        return sum((a - b) ** 2 for a, b in zip(y, target))
+
+    out, x = [], list(x)
+    while len(out) < count:
+        best = None
+        for group in groups:
+            for sign in (1, -1):
+                y = list(x)
+                for c in group:
+                    y[c] += sign * step
+                if d2(y) < d2(x) and (best is None or d2(y) < d2(best)):
+                    best = y
+        if best is None:
+            break
+        out.append(best)
+        x = best
+    return out
+
+
+def test_descent_singleton_groups_follow_the_axis_rule():
+    """Singleton groups step the coordinate farthest from the target, the
+    lowest index on ties, while that gap exceeds half a pitch (0.125)."""
+    axes = [[0], [1]]
+    assert _descent_from([0, 0], [0.75, -0.75], axes) == [
+        [0.25, 0], [0.25, -0.25], [0.5, -0.25], [0.5, -0.5], [0.75, -0.5], [0.75, -0.75]]
+    assert _descent_from([0, 0], [0.75, -0.75], axes, count=2) == [[0.25, 0], [0.25, -0.25]]
+    assert _descent_from([0, 0], [0.25, -0.5], axes)[0] == [0, -0.25]
+    # A gap of exactly half a pitch stops the descent; one above it does not.
+    assert _descent_from([0, 0], [0.375, 0.125], axes) == [[0.25, 0]]
+    assert _descent_from([0, 0], [0.375 + 2**-20, 0.125], axes) == [[0.25, 0], [0.5, 0]]
+    assert _descent_from([0, 0], [0.125, -0.125], axes) == []
+
+
+def test_descent_moves_a_robot_group_together():
+    """Two 2-D robots in one group step together along x: the summed gap of
+    the group's x coordinates, 1.25, exceeds half a pitch per coordinate
+    (0.25), then 0.75, then no longer (0.25), though the second robot is
+    still a pitch away.  Gaps of opposite signs cancel."""
+    together = _coordinate_groups(graph.group_steps([[0, 1]], 2, 4))
+    assert together == [[0, 2], [1, 3]]
+    assert _descent_from([0, 0, 0, 0.5], [0.5, 0, 0.75, 0.5], together) == [
+        [0.25, 0, 0.25, 0.5], [0.5, 0, 0.5, 0.5]]
+    assert _descent_from([0, 0, 0, 0.5], [0.5, 0, -0.5, 0.5], together) == []
+
+
+def test_descent_equals_greedy_group_moves_on_mixed_groups():
+    """With groups of one, two and three robots mixed, in 2-D and 3-D, each
+    descent point is the group translation of lowest potential among the
+    moves, as far as one lowers it."""
+    rng = np.random.default_rng(11)
+    partitions = [[[0], [1], [2]], [[0, 1], [2]], [[0], [1, 2]], [[0, 2], [1]], [[0, 1, 2]]]
+    moved = {1: 0, 2: 0, 3: 0}
+    for dim in (2, 3):
+        for robots in partitions:
+            groups = _coordinate_groups(graph.group_steps(robots, dim, 3 * dim))
+            for _ in range(20):
+                start = rng.integers(-8, 9, 3 * dim) / 8
+                target = rng.integers(-8, 9, 3 * dim) / 8
+                got = _descent_from(start, target, groups, count=40)
+                assert got == greedy_group_descent(start, target, groups, 0.25, 40)
+                for a, b in zip([start.tolist()] + got, got):
+                    moved[int(np.count_nonzero(np.array(b) != np.array(a)))] += 1
+    assert all(moved.values()), moved
 
 
 def test_admission_memory_stays_bounded_on_large_blocks():
