@@ -6,21 +6,26 @@ mass is conserved edge-wise and the free energy is a Lyapunov function.
 The region alternates greedy descent sweeps (diffusion strength zero) with
 Gibbs-layer growth (positive diffusion) until the target node is claimed.
 Both come from the limits of the flow in closed form: a descent sweep is the
-set of nodes reachable over descent edges, and the diffusion limit is the
+set of nodes reachable over descent steps, and the diffusion limit is the
 Gibbs density on each lattice component.  The solver stays as the oracle the
 tests compare them with.  A lattice keeps its nodes on a dense grid of their
-keys and labels its components once.  `contains_path` tests each trajectory
-sample against the covered box at its nearest key first, and only the samples
-left over against the 3**n keys around their cell corner; a region holds only
-its claimed nodes, and `region_dump` marks them.
+keys and one neighbour table, from which it derives its steepest descent
+steps and component labels once.  A sweep walks the descent table from its
+start; a growth tests the previous region's rows for an exit in one numpy
+pass, then grows its boundary by each claimed node's row.  `contains_path`
+tests each trajectory sample against the covered box at its nearest key
+first, and only the samples left over against the 3**n keys around their
+cell corner; a region holds only its claimed nodes, and `region_dump` marks
+them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,18 +42,20 @@ _CONTAIN_BLOCK = 512  # samples per containment pass: 3**n * n keys each
 class Lattice:
     """Feasible grid points of one pitch with axis adjacency and potentials.
 
-    `index` is the dense grid of lattice keys from `kmin` on: the node at
-    each key, or -1.  It reaches one key beyond the workspace on every side,
-    so a key clipped onto it finds -1 wherever it lies off the grid."""
+    `nbr` is the one adjacency: row j holds the node one key below j along
+    each axis, then the node one key above, where the segment to it is free,
+    else -1, so each edge sits at both its ends.  `index` is the dense grid
+    of lattice keys from `kmin` on: the node at each key, or -1.  It reaches
+    one key beyond the workspace on every side, so a key clipped onto it
+    finds -1 wherever it lies off the grid."""
 
-    coords: np.ndarray          # (M, n)
+    coords: np.ndarray  # (M, n)
     dx: float
     anchor: np.ndarray
-    p: np.ndarray               # (M,) potential per node
-    edges: np.ndarray           # (E, 2) node index pairs, j < k not required
-    neighbors: List[List[int]]  # per node, adjacent node indices
-    index: np.ndarray           # node per lattice key, -1 where there is none
-    kmin: np.ndarray            # (n,) the key at index[0, ..., 0]
+    p: np.ndarray       # (M,) potential per node
+    nbr: np.ndarray     # (M, 2n) neighbour one step down, then up, each axis; -1: none
+    index: np.ndarray   # node per lattice key, -1 where there is none
+    kmin: np.ndarray    # (n,) the key at index[0, ..., 0]
 
     @staticmethod
     def build(env: KnownEnvironment, anchor, dx: float, target) -> "Lattice":
@@ -75,23 +82,21 @@ class Lattice:
         index = np.full(tuple(k + 2 for k in shape), -1)
         inner = (slice(1, -1),) * n
         index[inner].flat[np.flatnonzero(ok)] = np.arange(coords_arr.shape[0])
-        # Per node and axis, the node one step up that axis (-1: none); the
-        # nonzero entries come out in (node, axis) order.
+        # Per node and axis, the node one step up that axis (-1: none), then
+        # -1 wherever the segment there is blocked; its mirror is the node
+        # one step down.
         up = np.stack([index[inner[:axis] + (slice(2, None),) + inner[axis + 1:]]
                        for axis in range(n)], axis=-1).reshape(-1, n)[ok]
         j, axes = np.nonzero(up >= 0)
-        nbr = up[j, axes]
-        free = rows_segment_feasible(coords_arr[j], coords_arr[nbr], env)
-        edges_arr = np.stack([j[free], nbr[free]], axis=1)
-        neighbors: List[List[int]] = [[] for _ in range(coords_arr.shape[0])]
-        for a, b in edges_arr.tolist():
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+        k = up[j, axes]
+        free = rows_segment_feasible(coords_arr[j], coords_arr[k], env)
+        up[j[~free], axes[~free]] = -1
+        down = np.full_like(up, -1)
+        down[k[free], axes[free]] = j[free]
         d = coords_arr - target
         p = np.sqrt(np.vecdot(d, d))  # each node's distance to the target
         return Lattice(coords=coords_arr, dx=dx, anchor=anchor, p=p,
-                       edges=edges_arr, neighbors=[sorted(ns) for ns in neighbors],
-                       index=index, kmin=kmin - 1)
+                       nbr=np.concatenate([down, up], axis=1), index=index, kmin=kmin - 1)
 
     @property
     def size(self) -> int:
@@ -112,12 +117,26 @@ class Lattice:
         return idx
 
     @cached_property
-    def descent_edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sources and ends of the edges `gradient_weights` marks, each
-        oriented from higher to lower potential."""
-        ej, ek = self.edges[gradient_weights(self) > 0.0].T
-        downhill = self.p[ej] > self.p[ek]
-        return np.where(downhill, ej, ek), np.where(downhill, ek, ej)
+    def edges(self) -> np.ndarray:
+        """(E, 2) the node pairs (j, k) with k one step up an axis from j
+        across a free segment, in (j, axis) order: the up half of `nbr`."""
+        up = self.nbr[:, self.nbr.shape[1] // 2:]
+        j, axes = np.nonzero(up >= 0)
+        return np.stack([j, up[j, axes]], axis=1)
+
+    @cached_property
+    def descent(self) -> np.ndarray:
+        """(M, 2n) per node, its neighbours of largest potential drop, ties
+        within 1e-12 included; -1 elsewhere and where no neighbour is lower.
+
+        The potential p is the distance to the target t.  A step of sign s
+        along axis i gives |b - t|^2 = |a - t|^2 - 2 s dx (a_i - t_i) + dx^2,
+        so the largest drop p[a] - p[b] is the step of largest inner product
+        with the gradient of p at a."""
+        lower = (self.nbr >= 0) & (self.p[self.nbr] < self.p[:, None])
+        drop = np.where(lower, self.p[:, None] - self.p[self.nbr], -np.inf)
+        best = drop.max(axis=1, keepdims=True)
+        return np.where(lower & (drop >= best - 1e-12), self.nbr, -1)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -143,40 +162,8 @@ class DensityField:
     beta: float
 
     @staticmethod
-    def delta(lat: Lattice, node: int, beta: float = 0.0) -> "DensityField":
-        rho = np.zeros(lat.size)
-        rho[node] = 1.0
-        return DensityField(rho=rho, beta=beta)
-
-    @staticmethod
     def uniform(lat: Lattice, beta: float) -> "DensityField":
         return DensityField(rho=np.full(lat.size, 1.0 / lat.size), beta=beta)
-
-
-def diffusion_weights(lat: Lattice) -> np.ndarray:
-    """Weight one on every lattice edge."""
-    return np.ones(lat.edges.shape[0])
-
-
-def gradient_weights(lat: Lattice) -> np.ndarray:
-    """0/1 weight per lattice edge: for each node, mark the edge(s) toward the
-    strictly lower-potential neighbor of largest potential drop; exact ties
-    all carry weight one.
-
-    The potential p is the distance to the target t.  A step of sign s along
-    axis i gives |b - t|^2 = |a - t|^2 - 2 s dx (a_i - t_i) + dx^2, so the
-    largest drop p[a] - p[b] is the step of largest inner product with the
-    gradient of p at a."""
-    e = lat.edges.shape[0]
-    # Every edge in both orientations, as a step from node a to neighbor b.
-    a = np.concatenate([lat.edges[:, 0], lat.edges[:, 1]])
-    b = np.concatenate([lat.edges[:, 1], lat.edges[:, 0]])
-    lower = lat.p[b] < lat.p[a]
-    vals = np.where(lower, lat.p[a] - lat.p[b], -np.inf)
-    best = np.full(lat.size, -np.inf)
-    np.maximum.at(best, a, vals)
-    mark = lower & (vals >= best[a] - 1e-12)
-    return (mark[:e] | mark[e:]).astype(float)
 
 
 def _f_vector(f: DensityField, lat: Lattice) -> np.ndarray:
@@ -384,18 +371,19 @@ def contains_path(region: Region, trajectory: Sequence) -> bool:
 
 
 def gradient_region(start_node: int, lat: Lattice) -> Set[int]:
-    """Descent sweep: the nodes reachable from the start node over the edges
-    that `gradient_weights` marks, each followed from higher to lower
-    potential.  These are exactly the nodes whose density ever increases
-    when a unit mass at the start evolves at beta = 0 under those weights."""
-    src, dst = lat.descent_edges
-    reached = np.zeros(lat.size, dtype=bool)
-    reached[start_node] = True
-    while True:
-        step = reached[src] & ~reached[dst]
-        if not step.any():
-            return set(np.flatnonzero(reached).tolist())
-        reached[dst[step]] = True
+    """Descent sweep: the nodes reachable from the start node by steps to a
+    neighbour in `Lattice.descent`, walked from the start, so only the
+    nodes reached are touched.  These are exactly the nodes whose density
+    ever increases when a unit mass at the start evolves at beta = 0 with
+    weight one on the descent steps."""
+    reached = {start_node}
+    stack = [start_node]
+    while stack:
+        for k in lat.descent[stack.pop()].tolist():
+            if k >= 0 and k not in reached:
+                reached.add(k)
+                stack.append(k)
+    return reached
 
 
 def diffusion_region(prev: Set[int], lat: Lattice, beta: float,
@@ -405,9 +393,12 @@ def diffusion_region(prev: Set[int], lat: Lattice, beta: float,
 
     Returns the newly claimed nodes and the next descent start (the lowest
     potential unclaimed neighbor of the grown region), or None when the
-    region already exhausts its lattice component.  Candidates are claimed
-    by decreasing `steady` density (by default the Gibbs density at beta);
-    of candidates with equal density, the lower index is claimed first.
+    region already exhausts its lattice component.  Unless some node of
+    `prev` has a lower unclaimed neighbour, candidates are claimed by
+    decreasing `steady` density (by default the Gibbs density at beta), the
+    lower index first among equal densities, until a claimed node has one.
+    The candidates, the region's unclaimed neighbours, grow by each claimed
+    node's row.
     """
     if beta <= 0.0:
         raise ValueError("diffusion requires beta > 0")
@@ -416,34 +407,35 @@ def diffusion_region(prev: Set[int], lat: Lattice, beta: float,
     if steady is None:
         steady = gibbs_steady(lat, beta)
 
-    claimed = set(prev)
-
-    def exit_node(nodes) -> bool:
-        for z in nodes:
-            for y in lat.neighbors[z]:
-                if y not in claimed and lat.p[y] < lat.p[z]:
-                    return True
-        return False
-
+    ids = np.fromiter(prev, dtype=np.intp, count=len(prev))
+    # Per node and one past the last (for a row's -1), whether it is claimed.
+    claimed = np.zeros(lat.size + 1, dtype=bool)
+    claimed[ids] = claimed[-1] = True
+    rows = lat.nbr[ids]
+    out = ~claimed[rows]
+    boundary = set(rows[out].tolist())
     added: Set[int] = set()
-    if not exit_node(prev):
-        while True:
-            cands = sorted({x for z in claimed for x in lat.neighbors[z]
-                            if x not in claimed})
-            if not cands:
-                break  # region already fills its component
-            x = max(cands, key=lambda i: (steady[i], -i))
-            claimed.add(x)
+    if not (out & (lat.p[rows] < lat.p[ids, None])).any():
+        heap = [(-steady[i], i) for i in boundary]
+        heapq.heapify(heap)
+        while heap:
+            x = heapq.heappop(heap)[1]
             added.add(x)
-            if exit_node({x}):
+            boundary.discard(x)
+            exits = False
+            for y in lat.nbr[x].tolist():
+                if y < 0 or y in prev or y in added:
+                    continue
+                exits = exits or lat.p[y] < lat.p[x]
+                if y not in boundary:
+                    boundary.add(y)
+                    heapq.heappush(heap, (-steady[y], y))
+            if exits:
                 break
 
-    outside = sorted({y for x in claimed for y in lat.neighbors[x]
-                      if y not in claimed})
-    if not outside:
+    if not boundary:
         return added, None
-    next_start = min(outside, key=lambda i: (lat.p[i], i))
-    return added, next_start
+    return added, min(boundary, key=lambda i: (lat.p[i], i))
 
 
 def build_region(start, target, lat: Lattice, beta: Optional[float] = None

@@ -141,9 +141,6 @@ class SearchGraph:
         view.flags.writeable = False
         return view
 
-    def is_expanded(self, vid: int) -> bool:
-        return bool(self._expanded[vid])
-
     def expanded_of(self, ids: np.ndarray) -> np.ndarray:
         """Whether each vertex of the id array ids was expanded."""
         return np.frombuffer(self._expanded, dtype=bool)[ids]

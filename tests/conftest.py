@@ -116,21 +116,26 @@ def containment_scenes():
 
 def hand_lattice(coords, p, edges, dx: float = 0.1):
     """A lattice built by hand from its nodes (on the grid of pitch dx
-    anchored at the origin), potentials and edges, with the neighbour lists
-    and the dense key grid `fpe.Lattice.build` would give it."""
+    anchored at the origin), potentials and edges, with the neighbour table
+    and the dense key grid `fpe.Lattice.build` would give it.  Each edge
+    must join two nodes one key apart along one axis."""
     coords = np.asarray(coords, dtype=float)
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    neighbors = [[] for _ in range(len(coords))]
-    for j, k in edges.tolist():
-        neighbors[j].append(k)
-        neighbors[k].append(j)
+    n = coords.shape[1]
     keys = np.rint(coords / dx).astype(int)
+    nbr = np.full((len(coords), 2 * n), -1)
+    for j, k in np.asarray(edges, dtype=int).reshape(-1, 2).tolist():
+        step = keys[k] - keys[j]
+        axes = np.flatnonzero(step)
+        if axes.shape[0] != 1 or abs(step[axes[0]]) != 1:
+            raise ValueError(f"edge ({j}, {k}) is not one key step along one axis")
+        lo, hi = (j, k) if step[axes[0]] > 0 else (k, j)
+        nbr[hi, axes[0]] = lo
+        nbr[lo, n + axes[0]] = hi
     kmin = keys.min(axis=0) - 1  # a border of -1 one key wide, as built
     index = np.full(keys.max(axis=0) - kmin + 2, -1)
     index[tuple((keys - kmin).T)] = np.arange(len(coords))
-    return fpe.Lattice(coords=coords, dx=dx, anchor=np.zeros(coords.shape[1]),
-                       p=np.asarray(p, dtype=float), edges=edges,
-                       neighbors=[sorted(ns) for ns in neighbors], index=index, kmin=kmin)
+    return fpe.Lattice(coords=coords, dx=dx, anchor=np.zeros(n), p=np.asarray(p, dtype=float),
+                       nbr=nbr, index=index, kmin=kmin)
 
 
 @pytest.fixture(scope="session")

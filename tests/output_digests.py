@@ -17,7 +17,7 @@ status and stop clearance); regions with `fpe.region_dump` and the
 - the corridors of 1-3 robots;
 - the dead ends of 1-3 robots in every escape mode;
 - the region and containment verdict of the five containment scenes at
-  pitches 0.05 and 0.025.
+  pitches 0.05, 0.025, 0.01 and 0.005.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def deadends() -> str:
 def containment() -> str:
     return sha(region_text(lp.GroundTruth.create(2, [0, 0], [1, 1], prims), start, target,
                            lp.PlannerConfig(step=step, sensing_radius=0.12, max_vertices=2000))
-               for step in (0.05, 0.025) for _, prims, start, target in containment_scenes())
+               for step in (0.05, 0.025, 0.01, 0.005)
+               for _, prims, start, target in containment_scenes())
 
 
 def main() -> int:

@@ -19,7 +19,7 @@ from latticeplan.planner import (densify, lattice_capacity, metrics_text,
 from conftest import (MAZE_BUDGET, MAZE_STEP, containment_scenes, hand_lattice,
                       make_corridor, make_deadend, make_maze, make_sealed)
 from geometry_oracles import oracle_point_feasible
-from search_oracles import bfs_path, dijkstra_path
+from search_oracles import bfs_path, diffusion_weights, dijkstra_path, expanded, neighbour_lists
 
 
 # -- 1. completeness on unknown mazes ------------------------------------
@@ -111,7 +111,7 @@ def test_solver_20x20_conserves_and_reaches_gibbs():
     beta = 0.1
     t0 = time.time()
     res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, beta), lat,
-                               fpe.diffusion_weights(lat), tol=1e-10)
+                               diffusion_weights(lat), tol=1e-10)
     elapsed = time.time() - t0
     gibbs = np.exp(-lat.p / beta)
     gibbs /= gibbs.sum()
@@ -138,9 +138,9 @@ def test_beta_zero_support_is_subset_of_minimizers():
         env = lp.KnownEnvironment.initial(truth, 0.1).fully_revealed()
         lat = fpe.Lattice.build(env, rng.uniform(0.0, 0.05, 2), 0.05, target)
         res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, 0.0), lat,
-                                   fpe.diffusion_weights(lat), tol=1e-12)
+                                   diffusion_weights(lat), tol=1e-12)
         mins = {j for j in range(lat.size)
-                if all(lat.p[k] >= lat.p[j] for k in lat.neighbors[j])}
+                if all(lat.p[k] >= lat.p[j] for k in neighbour_lists(lat)[j])}
         support = set(np.nonzero(res.field.rho > 1e-9)[0])
         assert support <= mins, f"seed {seed}: stray mass outside minimizers"
 
@@ -151,7 +151,7 @@ def test_cfl_steps_keep_masses_in_unit_interval():
     truth = lp.GroundTruth.create(2, [0, 0], [0.25, 0.25], [])
     env = lp.KnownEnvironment.initial(truth, 0.1)
     lat = fpe.Lattice.build(env, [0.025, 0.025], 0.05, [0.225, 0.175])
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     f = fpe.DensityField.uniform(lat, beta=0.1)
     for _ in range(100_000):
         f = fpe.fpe_step(f, lat, w, fpe.cfl_dt(f, lat, w))
@@ -161,7 +161,7 @@ def test_cfl_steps_keep_masses_in_unit_interval():
 def test_oversized_step_triggers_cfl_error():
     lat = hand_lattice([[0.0, 0.0], [0.1, 0.0]], [0.0, 1.0], [[0, 1]])
     f = fpe.DensityField(rho=np.array([0.0, 1.0]), beta=0.0)
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     with pytest.raises(lp.CflViolationError):
         fpe.fpe_step(f, lat, w, 4.0 * fpe.cfl_dt(f, lat, w))
 
@@ -173,7 +173,7 @@ def test_region_contains_planner_trajectory_5_of_5():
     the lattice it explored) lie inside the region."""
     step = 0.05
     failed = []
-    expanded = 0
+    explored_count = 0
     for name, prims, start, target in containment_scenes():
         truth = lp.GroundTruth.create(2, [0, 0], [1, 1], prims)
         cfg = lp.PlannerConfig(step=step, sensing_radius=0.12,
@@ -183,13 +183,13 @@ def test_region_contains_planner_trajectory_5_of_5():
         lat = fpe.Lattice.build(env, start, step, target)
         region = fpe.build_region(start, target, lat)
         explored = [g.coords[v] for g in (s.graph for s in res.segments)
-                    for v in range(g.count) if g.is_expanded(v)]
-        expanded += len(explored)
+                    for v in np.flatnonzero(expanded(g))]
+        explored_count += len(explored)
         if (res.status != "success" or not fpe.contains_path(region, res.full_trajectory)
                 or not fpe.contains_path(region, explored)):
             failed.append(name)
     assert not failed, f"containment failed on: {failed}"
-    assert expanded > 100
+    assert explored_count > 100
 
 
 # -- 9. trap-escape vertex reduction -------------------------------------

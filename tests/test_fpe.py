@@ -17,9 +17,11 @@ from latticeplan import fpe
 from latticeplan.errors import CflViolationError, RegionError
 from latticeplan.geometry import distance
 
+import search_oracles
 from conftest import containment_scenes, hand_lattice
 from geometry_oracles import oracle_point_feasible, oracle_segment_feasible, region_contains
-from search_oracles import component_labels, component_of
+from search_oracles import (component_labels, component_of, delta_field, descent_edges,
+                            diffusion_weights, gradient_weights, neighbour_lists)
 
 
 def _chain(p, dx=0.1):
@@ -40,7 +42,7 @@ def test_cfl_dt_two_node_hand_value():
     # dt = 0.9 * 0.01 = 0.009.
     lat = _chain([0.0, 1.0])
     f = fpe.DensityField(rho=np.array([0.5, 0.5]), beta=0.0)
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     assert fpe.cfl_dt(f, lat, w) == pytest.approx(0.009, abs=1e-15)
     # One step moves 0.45 of mass downhill: (0.95, 0.05).
     nxt = fpe.fpe_step(f, lat, w, 0.009)
@@ -51,7 +53,7 @@ def test_cfl_violation_on_oversized_step():
     # All mass on the high node: 4x the stable step drains 3.6x its mass.
     lat = _chain([0.0, 1.0])
     f = fpe.DensityField(rho=np.array([0.0, 1.0]), beta=0.0)
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     dt = fpe.cfl_dt(f, lat, w)
     with pytest.raises(CflViolationError):
         fpe.fpe_step(f, lat, w, 4.0 * dt)
@@ -62,7 +64,7 @@ def test_mass_conserved_and_energy_monotone():
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.1, 1.0, 5)
     f = fpe.DensityField(rho=rho / rho.sum(), beta=0.2)
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     fe = fpe.free_energy(f, lat)
     for _ in range(500):
         f = fpe.fpe_step(f, lat, w, fpe.cfl_dt(f, lat, w))
@@ -78,7 +80,7 @@ def test_steady_state_matches_gibbs_three_nodes():
     # entropy term; a reduced step keeps the explicit scheme contractive.
     lat = _chain([0.0, 1.0, 2.0])
     f = fpe.DensityField.uniform(lat, beta=1.0)
-    res = fpe.evolve_to_steady(f, lat, fpe.diffusion_weights(lat), tol=1e-12,
+    res = fpe.evolve_to_steady(f, lat, diffusion_weights(lat), tol=1e-12,
                                safety=0.2)
     want = np.exp(-lat.p)
     want /= want.sum()
@@ -92,7 +94,7 @@ def test_gibbs_is_stationary():
     beta = 0.5
     rho = np.exp(-lat.p / beta)
     f = fpe.DensityField(rho=rho / rho.sum(), beta=beta)
-    w = fpe.diffusion_weights(lat)
+    w = diffusion_weights(lat)
     nxt = fpe.fpe_step(f, lat, w, fpe.cfl_dt(f, lat, w))
     assert np.max(np.abs(nxt.rho - f.rho)) < 1e-14
 
@@ -102,7 +104,7 @@ def test_beta_zero_support_two_basins():
     # exactly the two minimizers.
     lat = _chain([0.0, 0.4, 0.8, 0.3, 0.1])
     f = fpe.DensityField.uniform(lat, beta=0.0)
-    res = fpe.evolve_to_steady(f, lat, fpe.diffusion_weights(lat), tol=1e-13)
+    res = fpe.evolve_to_steady(f, lat, diffusion_weights(lat), tol=1e-13)
     support = set(np.nonzero(res.field.rho > 1e-10)[0])
     assert support == {0, 4}
 
@@ -138,11 +140,11 @@ def test_evolution_equals_fresh_public_steps():
     box = lp.ObstaclePrimitive.box([0.3, 0.2], [0.45, 0.7], known=True)
     lat = fpe.Lattice.build(_env([box]), rng.uniform(0.0, 0.1, 2), 0.1, [0.8, 0.4])
     chain = _chain([0.0, 0.4, 0.8, 0.3, 0.1])
-    cases = [(chain, fpe.DensityField.uniform(chain, 0.0), fpe.diffusion_weights(chain)),
-             (lat, fpe.DensityField.uniform(lat, 0.05), fpe.diffusion_weights(lat))]
+    cases = [(chain, fpe.DensityField.uniform(chain, 0.0), diffusion_weights(chain)),
+             (lat, fpe.DensityField.uniform(lat, 0.05), diffusion_weights(lat))]
     for node in (lat.size // 2, lat.size - 1):
-        cases += [(lat, fpe.DensityField.delta(lat, node), fpe.diffusion_weights(lat)),
-                  (lat, fpe.DensityField.delta(lat, node), fpe.gradient_weights(lat))]
+        cases += [(lat, delta_field(lat, node), diffusion_weights(lat)),
+                  (lat, delta_field(lat, node), gradient_weights(lat))]
     for case, f, w in cases:
         res = fpe.evolve_to_steady(f, case, w, tol=1e-9)
         rho, iterations, residual = _evolve_by_public_steps(f, case, w, 1e-9)
@@ -154,14 +156,16 @@ def test_evolution_equals_fresh_public_steps():
 def test_gradient_weights_pick_steepest_axis():
     env = _env()
     lat = fpe.Lattice.build(env, [0.0, 0.0], 0.1, [0.9, 0.2])
-    w = fpe.gradient_weights(lat)
+    w = gradient_weights(lat)
     # At (0.1, 0.2) the gradient points along -x only: the +x edge must carry
-    # weight 1 and the downhill y edge weight 0.
+    # weight 1 and the downhill y edge weight 0.  The descent row holds that
+    # step alone, in the +x column.
     j = lat.node_at([0.1, 0.2])
     k = lat.node_at([0.2, 0.2])
     e = [i for i, (a, b) in enumerate(lat.edges)
          if {int(a), int(b)} == {j, k}][0]
     assert w[e] == 1.0
+    assert lat.descent[j].tolist() == [-1, -1, k, -1]
 
 
 def test_lattice_rejects_high_dimension():
@@ -242,8 +246,8 @@ def _solver_sweep(start_node, lat):
     the start node at beta = 0 under the descent weights and collect every
     node whose density ever strictly increases."""
     touched = {start_node}
-    _evolve_by_public_steps(fpe.DensityField.delta(lat, start_node), lat,
-                            fpe.gradient_weights(lat), 1e-12, touched=touched)
+    _evolve_by_public_steps(delta_field(lat, start_node), lat,
+                            gradient_weights(lat), 1e-12, touched=touched)
     return touched
 
 
@@ -256,7 +260,7 @@ def _loop_gradient_weights(lat, target):
     for e, (j, k) in enumerate(lat.edges.tolist()):
         edge_index[(j, k)] = edge_index[(k, j)] = e
     for j in range(lat.size):
-        lower = [k for k in lat.neighbors[j] if lat.p[k] < lat.p[j]]
+        lower = [k for k in neighbour_lists(lat)[j] if lat.p[k] < lat.p[j]]
         if not lower:
             continue
         grad = lat.coords[j] - np.asarray(target, dtype=float)
@@ -312,13 +316,14 @@ def test_gradient_weights_equal_node_loop():
     target3 = [0.85, 0.35, 0.35]
     lats.append((fpe.Lattice.build(env3, [0.1, 0.35, 0.35], 0.125, target3), target3))
     for lat, target in lats:
-        assert np.array_equal(fpe.gradient_weights(lat), _loop_gradient_weights(lat, target))
+        assert np.array_equal(gradient_weights(lat), _loop_gradient_weights(lat, target))
 
 
 def _loop_lattice(env, anchor, dx):
     """Grid points and up-edges tested one at a time: the loop Lattice.build
-    replaces.  Returns coords, key_map, edges, neighbors and the lowest and
-    highest grid keys."""
+    replaces.  Returns coords, key_map, edges, the neighbour table (per node,
+    the node one step down and then up each axis across a free edge, or -1)
+    and the lowest and highest grid keys."""
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.shape[0]
     lo = np.tile(env.bounds_lo, n // env.dim)
@@ -331,15 +336,15 @@ def _loop_lattice(env, anchor, dx):
         if oracle_point_feasible(x, env):
             key_map[key] = len(coords)
             coords.append(x)
-    edges, neighbors = [], [[] for _ in coords]
+    edges, nbr = [], np.full((len(coords), 2 * n), -1)
     for key, j in key_map.items():
         for axis in range(n):
             k = key_map.get(key[:axis] + (key[axis] + 1,) + key[axis + 1:])
             if k is not None and oracle_segment_feasible(coords[j], coords[k], env):
                 edges.append([j, k])
-                neighbors[j].append(k)
-                neighbors[k].append(j)
-    return np.array(coords), key_map, edges, [sorted(ns) for ns in neighbors], kmin, kmax
+                nbr[j, n + axis] = k
+                nbr[k, axis] = j
+    return np.array(coords), key_map, edges, nbr, kmin, kmax
 
 
 def test_lattice_build_equals_point_and_edge_loop():
@@ -356,7 +361,7 @@ def test_lattice_build_equals_point_and_edge_loop():
                    [0.1, 0.8], 0.05, [0.8, 0.1]))
     for env, start, dx, target in worlds:
         lat = fpe.Lattice.build(env, start, dx, target)
-        coords, key_map, edges, neighbors, kmin, kmax = _loop_lattice(env, start, dx)
+        coords, key_map, edges, nbr, kmin, kmax = _loop_lattice(env, start, dx)
         assert np.array_equal(lat.coords, coords)
         # The grid spans the workspace's keys and one more on every side;
         # each cell holds the loop's node at its key, or -1.
@@ -366,7 +371,7 @@ def test_lattice_build_equals_point_and_edge_loop():
             key = tuple((lat.kmin + cell).tolist())
             assert lat.index[cell] == key_map.get(key, -1), key
         assert lat.edges.tolist() == edges
-        assert lat.neighbors == neighbors
+        assert np.array_equal(lat.nbr, nbr)
         assert lat.p.tolist() == [distance(x, target) for x in coords]
 
 
@@ -394,7 +399,8 @@ def test_node_at_reads_the_grid_within_a_quarter_pitch():
 def test_labels_equal_the_component_walk():
     """`Lattice.labels` numbers the components as the depth-first walk does,
     on the containment scenes, on random worlds cut into several components
-    and on the same lattices with their nodes renumbered and edges flipped."""
+    and on the same lattices with their nodes renumbered, where some edges
+    run from a higher node to a lower one."""
     lats = [fpe.Lattice.build(_env(prims), start, 0.05, target)
             for _, prims, start, target in containment_scenes()]
     for seed in range(12):
@@ -402,12 +408,11 @@ def test_labels_equal_the_component_walk():
     rng = np.random.default_rng(8)
     for lat in list(lats):
         perm = rng.permutation(lat.size)
-        edges = perm[lat.edges]
-        flip = rng.random(len(edges)) < 0.5
-        edges[flip] = edges[flip, ::-1]
         coords = np.empty_like(lat.coords)
         coords[perm] = lat.coords
-        lats.append(hand_lattice(coords - lat.anchor, lat.p[np.argsort(perm)], edges, lat.dx))
+        lats.append(hand_lattice(coords - lat.anchor, lat.p[np.argsort(perm)],
+                                 perm[lat.edges], lat.dx))
+        assert (lats[-1].edges[:, 0] > lats[-1].edges[:, 1]).any()
     several = 0
     for lat in lats:
         labels = component_labels(lat)
@@ -419,12 +424,97 @@ def test_labels_equal_the_component_walk():
     assert several >= 8  # lattices of three or more components
 
 
+def test_hand_lattice_takes_only_axis_steps():
+    """A hand-built edge must join nodes one key apart along one axis; the
+    table holds each edge at both ends."""
+    lat = hand_lattice([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]], [2.0, 1.0, 0.0], [[2, 1], [0, 1]])
+    assert lat.nbr.tolist() == [[-1, -1, 1, -1], [0, -1, -1, 2], [-1, 1, -1, -1]]
+    assert lat.edges.tolist() == [[0, 1], [1, 2]]
+    for bad in ([[0, 2]], [[0, 0]]):
+        with pytest.raises(ValueError):
+            hand_lattice([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]], [2.0, 1.0, 0.0], bad)
+    with pytest.raises(ValueError):
+        hand_lattice([[0.0, 0.0], [0.2, 0.0]], [1.0, 0.0], [[0, 1]])
+
+
+def _oracle_lattices():
+    """The containment scenes at pitches 0.05 and 0.025, with their starts and
+    targets, and 12 random worlds, each with a start and a target node of one
+    component."""
+    lats = [(fpe.Lattice.build(_env(prims), start, dx, target), start, target)
+            for dx in (0.05, 0.025) for _, prims, start, target in containment_scenes()]
+    for seed in range(12):
+        rng, lat, _ = _random_world(seed)
+        start = int(rng.integers(lat.size))
+        target = int(rng.choice(np.flatnonzero(lat.labels == lat.labels[start])))
+        lats.append((lat, lat.coords[start], lat.coords[target]))
+    return lats
+
+
+def _slack_lattice():
+    """A node of potential 1 whose one lower neighbour drops by 1 and whose
+    other drops by exactly 1 - 1e-12 in floating point: the largest drop
+    less the tie slack."""
+    low = 1.0 - (1.0 - 1e-12)  # exact: 1 - 1e-12 lies within a factor 2 of 1
+    lat = hand_lattice([[0.1, 0.1], [0.0, 0.1], [0.1, 0.0]], [1.0, 0.0, low], [[0, 1], [0, 2]])
+    assert 1.0 - lat.p[2] == 1.0 - 1e-12
+    return lat
+
+
+def test_descent_equals_the_marked_edges_oriented_downhill():
+    """Each row of `Lattice.descent` holds the ends of the edges the per-edge
+    descent weights mark that leave its node downhill, each in its column of
+    `Lattice.nbr`, and -1 elsewhere.  A drop of exactly the largest drop
+    less the tie slack is a descent step."""
+    lats = [lat for lat, _, _ in _oracle_lattices()] + [_slack_lattice()]
+    for lat in lats:
+        src, dst = descent_edges(lat)
+        marked = set(zip(src.tolist(), dst.tolist()))
+        want = [[k if (j, k) in marked else -1 for k in row]
+                for j, row in enumerate(lat.nbr.tolist())]
+        assert lat.descent.tolist() == want
+    assert lats[-1].descent[0].tolist() == [1, 2, -1, -1]
+
+
+def test_region_calls_equal_the_oracles(monkeypatch):
+    """Every descent sweep and every Gibbs-layer growth `build_region` runs
+    returns what the level-by-level sweep and the set-based growth return
+    for the same arguments: on the oracle lattices, on the mirror scene,
+    where densities tie, and on `staggered` at pitch 0.005."""
+    sweep, grow = fpe.gradient_region, fpe.diffusion_region
+    calls = []
+
+    def checked_sweep(start_node, lat):
+        got = sweep(start_node, lat)
+        assert got == search_oracles.gradient_region(start_node, lat)
+        calls.append("sweep")
+        return got
+
+    def checked_grow(prev, lat, beta, steady=None):
+        got = grow(prev, lat, beta, steady=steady)
+        assert got == search_oracles.diffusion_region(prev, lat, beta, steady=steady)
+        calls.append("grow" if got[0] else "none")
+        return got
+
+    monkeypatch.setattr(fpe, "gradient_region", checked_sweep)
+    monkeypatch.setattr(fpe, "diffusion_region", checked_grow)
+    lat, start, target, _ = _mirror_scene()
+    cases = _oracle_lattices() + [(lat, start, target)]
+    _, prims, start, target = containment_scenes()[3]
+    cases.append((fpe.Lattice.build(_env(prims), start, 0.005, target), start, target))
+    for lat, start, target in cases:
+        fpe.build_region(start, target, lat)
+    # Most growth calls return at once: the region already has a lower
+    # neighbour, the next descent start.
+    assert calls.count("sweep") >= 1000 and calls.count("grow") >= 15
+
+
 def test_gibbs_steady_equals_solver_on_random_worlds():
     for seed in range(3):
         _, lat, _ = _random_world(seed)
         beta = float(lat.p.max() - lat.p.min()) / 10.0
         res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, beta), lat,
-                                   fpe.diffusion_weights(lat), tol=1e-11)
+                                   diffusion_weights(lat), tol=1e-11)
         assert res.converged
         assert np.max(np.abs(fpe.gibbs_steady(lat, beta) - res.field.rho)) <= 1e-9
 
@@ -439,7 +529,7 @@ def test_gibbs_steady_weights_components_by_size():
     beta = 0.08
     rho = fpe.gibbs_steady(lat, beta)
     res = fpe.evolve_to_steady(fpe.DensityField.uniform(lat, beta), lat,
-                               fpe.diffusion_weights(lat), tol=1e-11)
+                               diffusion_weights(lat), tol=1e-11)
     assert res.converged
     assert np.max(np.abs(rho - res.field.rho)) <= 1e-9
     for c in (0, 1):

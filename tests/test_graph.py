@@ -16,6 +16,7 @@ from geometry_oracles import (LatticeConsistencyError, decode_key, encode_key, l
                               oracle_distance_to_revealed, oracle_formation_motion_feasible,
                               oracle_multi_robot_feasible, oracle_point_feasible,
                               oracle_segment_feasible)
+from search_oracles import expanded
 
 
 def step_moves(g: SearchGraph, vid: int, steps):
@@ -37,8 +38,7 @@ def step_moves(g: SearchGraph, vid: int, steps):
 def argmin_unexpanded_scan(g: SearchGraph):
     """The masked O(V) scan the frontier heap replaced: the unexpanded vertex
     of lowest potential, the lowest id on ties."""
-    expanded = [g.is_expanded(v) for v in range(g.count)]
-    masked = np.where(expanded, np.inf, g.potentials)
+    masked = np.where(expanded(g), np.inf, g.potentials)
     vid = int(np.argmin(masked))
     return None if masked[vid] == np.inf else vid
 
@@ -130,7 +130,7 @@ def test_empty_graph_when_sealed():
     env = lp.KnownEnvironment.initial(truth, 0.1)
     g = generate_graph([0.1, 0.1], [0.5, 0.5], env, GenConfig(step=0.04, max_vertices=1200))
     assert g.target_id is None and g.count > 1
-    assert all(g.is_expanded(v) for v in range(g.count))
+    assert expanded(g).all()
 
 
 def test_resource_limit_distinct_from_empty():
@@ -390,7 +390,7 @@ def test_descent_admitted_ahead_takes_one_pass(monkeypatch, start, target):
     monkeypatch.setattr(graph.MoveBlocks, "prepare", counting_prepare)
     g = generate_graph(start, target, _empty_env(), GenConfig(step=0.02, max_vertices=300))
     assert g.target_id is not None and not g.trapped
-    assert sum(g.is_expanded(v) for v in range(g.count)) >= 30
+    assert expanded(g).sum() >= 30
     assert len(calls) <= 2, calls
 
 
